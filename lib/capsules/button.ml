@@ -46,21 +46,25 @@ let capsule ?(pins = [ 8; 9 ]) gpio =
         end
         else Userland.failure
   in
+  (* built once, so an idle poll allocates nothing *)
+  let rec poll i = function
+    | [] -> ()
+    | pin :: rest ->
+      let level = Mpu_hw.Gpio.read gpio pin in
+      if level <> last_levels.(i) then begin
+        last_levels.(i) <- level;
+        Hashtbl.iter
+          (fun _ l ->
+            if List.mem i l.l_enabled then
+              l.l_ph.Capsule_intf.ph_schedule_upcall ~upcall_id:0
+                ~arg:((i * 2) + if level then 1 else 0))
+          listeners
+      end;
+      poll (i + 1) rest
+  in
   let tick ~now =
     ignore now;
-    List.iteri
-      (fun i pin ->
-        let level = Mpu_hw.Gpio.read gpio pin in
-        if level <> last_levels.(i) then begin
-          last_levels.(i) <- level;
-          Hashtbl.iter
-            (fun _ l ->
-              if List.mem i l.l_enabled then
-                l.l_ph.Capsule_intf.ph_schedule_upcall ~upcall_id:0
-                  ~arg:((i * 2) + if level then 1 else 0))
-            listeners
-        end)
-      pins
+    poll 0 pins
   in
   let snapshotter =
     {

@@ -35,19 +35,19 @@ let capsule uart =
     | "help" -> respond "commands: ps uptime help\n"
     | other -> respond (Printf.sprintf "unknown command %S (try help)\n" other)
   in
+  let rec drain () =
+    match Mpu_hw.Uart.read_byte uart with
+    | None -> ()
+    | Some b ->
+      if b = Char.code '\n' then begin
+        run_command (Buffer.contents line);
+        Buffer.clear line
+      end
+      else Buffer.add_char line (Char.chr b);
+      drain ()
+  in
   let tick ~now =
     ignore now;
-    let rec drain () =
-      match Mpu_hw.Uart.read_byte uart with
-      | None -> ()
-      | Some b ->
-        if b = Char.code '\n' then begin
-          run_command (Buffer.contents line);
-          Buffer.clear line
-        end
-        else Buffer.add_char line (Char.chr b);
-        drain ()
-    in
     drain ()
   in
   let snapshotter =

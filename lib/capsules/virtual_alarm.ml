@@ -59,13 +59,16 @@ let capsule () =
   in
   let tick ~now =
     st.now <- now;
-    let due, later = List.partition (fun o -> o.o_deadline <= now) st.queue in
-    st.queue <- later;
-    List.iter
-      (fun o ->
-        st.fired <- st.fired + 1;
-        o.o_upcall.Capsule_intf.ph_schedule_upcall ~upcall_id:0 ~arg:o.o_deadline)
-      due
+    match st.queue with
+    | o :: _ when o.o_deadline <= now ->
+      let due, later = List.partition (fun o -> o.o_deadline <= now) st.queue in
+      st.queue <- later;
+      List.iter
+        (fun o ->
+          st.fired <- st.fired + 1;
+          o.o_upcall.Capsule_intf.ph_schedule_upcall ~upcall_id:0 ~arg:o.o_deadline)
+        due
+    | _ -> () (* the queue is sorted: nothing is due before its head *)
   in
   (* Snapshot: [outstanding] records are immutable and process handles
      stay valid across a restore (the kernel restores processes in place),

@@ -976,43 +976,64 @@ module Make (MM : Mm.S) = struct
 
   (* --- the main scheduler loop --- *)
 
-  let wake_alarms t =
-    (* deferred (backoff) restarts whose delay has elapsed *)
-    List.iter
-      (fun (p : proc) ->
-        match (p.Process.restart_at, p.Process.program_factory) with
-        | Some due, Some factory when due <= t.ticks ->
-          p.Process.restart_at <- None;
-          restart_process t p factory
-        | Some due, None when due <= t.ticks -> p.Process.restart_at <- None
-        | (Some _ | None), _ -> ())
-      t.procs;
-    List.iter
-      (fun (p : proc) ->
-        (match Queue.take_opt p.Process.pending_upcalls with
-        | Some (_id, arg) when p.Process.state = Process.Yielded ->
+  (* The idle tick — every process waiting on an alarm — is the common
+     case, so the walks below are plain recursions over [t.procs] and
+     allocate nothing when there is nothing to wake. *)
+
+  (* deferred (backoff) restarts whose delay has elapsed *)
+  let rec restart_due t = function
+    | [] -> ()
+    | (p : proc) :: rest ->
+      (match (p.Process.restart_at, p.Process.program_factory) with
+      | Some due, Some factory when due <= t.ticks ->
+        p.Process.restart_at <- None;
+        restart_process t p factory
+      | Some due, None when due <= t.ticks -> p.Process.restart_at <- None
+      | (Some _ | None), _ -> ());
+      restart_due t rest
+
+  (* Deliver the head pending upcall to a yielded process; a process that
+     has not yielded gets its head upcall rotated to the back. Then fire
+     the builtin alarm. *)
+  let rec wake_due t = function
+    | [] -> ()
+    | (p : proc) :: rest ->
+      let q = p.Process.pending_upcalls in
+      if not (Queue.is_empty q) then begin
+        let ((_id, arg) as pending) = Queue.take q in
+        match p.Process.state with
+        | Process.Yielded ->
           p.Process.state <- Process.Ready;
           p.Process.last_result <- arg
-        | Some pending -> Queue.push pending p.Process.pending_upcalls
-        | None -> ());
-        match (p.Process.state, p.Process.alarm_at) with
-        | Process.Yielded, Some due when due <= t.ticks ->
-          p.Process.state <- Process.Ready;
-          p.Process.alarm_at <- None;
-          p.Process.last_result <- 1
-        | (Process.Ready | Process.Yielded | Process.Faulted _ | Process.Exited _), _ -> ())
-      t.procs
+        | Process.Ready | Process.Faulted _ | Process.Exited _ -> Queue.push pending q
+      end;
+      (match (p.Process.state, p.Process.alarm_at) with
+      | Process.Yielded, Some due when due <= t.ticks ->
+        p.Process.state <- Process.Ready;
+        p.Process.alarm_at <- None;
+        p.Process.last_result <- 1
+      | (Process.Ready | Process.Yielded | Process.Faulted _ | Process.Exited _), _ -> ());
+      wake_due t rest
+
+  let wake_alarms t =
+    restart_due t t.procs;
+    wake_due t t.procs
+
+  let rec procs_have_work t = function
+    | [] -> false
+    | (p : proc) :: rest ->
+      Process.is_runnable p
+      || Option.is_some p.Process.restart_at
+      || (match p.Process.state with
+         | Process.Yielded ->
+           Option.is_some p.Process.alarm_at
+           || (not (Queue.is_empty p.Process.pending_upcalls))
+           || Hashtbl.length t.capsules > 0
+         | Process.Ready | Process.Faulted _ | Process.Exited _ -> false)
+      || procs_have_work t rest
 
   let has_future_work t =
-    List.exists
-      (fun (p : proc) ->
-        Process.is_runnable p
-        || p.Process.restart_at <> None
-        || p.Process.state = Process.Yielded
-           && (p.Process.alarm_at <> None
-              || (not (Queue.is_empty p.Process.pending_upcalls))
-              || Hashtbl.length t.capsules > 0))
-      t.procs
+    procs_have_work t t.procs
     || Hashtbl.fold
          (fun _ (c : Capsule_intf.t) acc -> acc || c.Capsule_intf.cap_has_work ())
          t.capsules false
@@ -1020,10 +1041,12 @@ module Make (MM : Mm.S) = struct
   let run t ~max_ticks =
     let deadline = t.ticks + max_ticks in
     ensure_capsules_initialized t;
+    (* one closure per run, not one per tick *)
+    let tick_capsule _ (c : Capsule_intf.t) = c.Capsule_intf.cap_tick ~now:t.ticks in
     while t.ticks < deadline && has_future_work t do
       t.ticks <- t.ticks + 1;
       (match t.chaos with None -> () | Some ch -> ch.Chaos_intf.ch_tick ~tick:t.ticks);
-      Hashtbl.iter (fun _ (c : Capsule_intf.t) -> c.Capsule_intf.cap_tick ~now:t.ticks) t.capsules;
+      Hashtbl.iter tick_capsule t.capsules;
       wake_alarms t;
       let runnable = List.filter Process.is_runnable t.procs in
       (match (t.sched, runnable) with

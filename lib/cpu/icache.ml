@@ -81,13 +81,21 @@ let th_buckets = 32
    A->B and B->A distinct, and A->A nonzero). Allocated only when
    coverage is switched on, so the default-path cost is one [None]
    check per block dispatch. Never part of any snapshot, fingerprint or
-   model-visible metric. *)
+   model-visible metric.
+
+   An exec lights a few hundred of the 128k slots, so the map also keeps
+   the list of slots it raised from 0: reset, export and counting walk
+   that list and cost what the exec touched, not the map size. *)
 let cov_bits = 16
 let cov_slots = 1 lsl cov_bits
 
 type cov = {
   cv_blocks : Bytes.t;
   cv_edges : Bytes.t;
+  mutable cv_touched : int array;
+      (* slots raised from 0 since the last reset, edge slots offset by
+         [cov_slots]; grows by doubling and is never shrunk *)
+  mutable cv_ntouched : int;
   mutable cv_prev : int;
   mutable cv_block_hits : int;  (* exact totals; the byte maps saturate *)
   mutable cv_edge_hits : int;
@@ -160,6 +168,8 @@ let set_coverage t v =
         {
           cv_blocks = Bytes.make cov_slots '\000';
           cv_edges = Bytes.make cov_slots '\000';
+          cv_touched = Array.make 64 0;
+          cv_ntouched = 0;
           cv_prev = 0;
           cv_block_hits = 0;
           cv_edge_hits = 0;
@@ -173,8 +183,12 @@ let cov_reset t =
   match t.cov with
   | None -> ()
   | Some c ->
-    Bytes.fill c.cv_blocks 0 cov_slots '\000';
-    Bytes.fill c.cv_edges 0 cov_slots '\000';
+    for i = 0 to c.cv_ntouched - 1 do
+      let s = Array.unsafe_get c.cv_touched i in
+      if s < cov_slots then Bytes.unsafe_set c.cv_blocks s '\000'
+      else Bytes.unsafe_set c.cv_edges (s - cov_slots) '\000'
+    done;
+    c.cv_ntouched <- 0;
     c.cv_prev <- 0;
     c.cv_block_hits <- 0;
     c.cv_edge_hits <- 0
@@ -184,17 +198,32 @@ let cov_reset t =
    the low 32 carry well-mixed entropy. *)
 let cov_hash pc = ((pc lsr 1) * 0x9E3779B1) lsr (32 - cov_bits) land (cov_slots - 1)
 
-let sat_incr map i =
+let touch c slot =
+  let n = c.cv_ntouched in
+  if n = Array.length c.cv_touched then begin
+    let grown = Array.make (2 * n) 0 in
+    Array.blit c.cv_touched 0 grown 0 n;
+    c.cv_touched <- grown
+  end;
+  Array.unsafe_set c.cv_touched n slot;
+  c.cv_ntouched <- n + 1
+
+(* [base] is the map's offset in the touched list's slot space: 0 for
+   blocks, [cov_slots] for edges. *)
+let sat_incr c map base i =
   let v = Char.code (Bytes.unsafe_get map i) in
-  if v < 255 then Bytes.unsafe_set map i (Char.unsafe_chr (v + 1))
+  if v < 255 then begin
+    Bytes.unsafe_set map i (Char.unsafe_chr (v + 1));
+    if v = 0 then touch c (base + i)
+  end
 
 let cov_note t pc =
   match t.cov with
   | None -> ()
   | Some c ->
     let cur = cov_hash pc in
-    sat_incr c.cv_blocks cur;
-    sat_incr c.cv_edges (cur lxor c.cv_prev);
+    sat_incr c c.cv_blocks 0 cur;
+    sat_incr c c.cv_edges cov_slots (cur lxor c.cv_prev);
     c.cv_prev <- cur lsr 1;
     c.cv_block_hits <- c.cv_block_hits + 1;
     c.cv_edge_hits <- c.cv_edge_hits + 1
@@ -222,21 +251,23 @@ let classify v =
 (* Sparse classified export: (slot, class) pairs in ascending slot order,
    block slots [0, cov_slots), edge slots offset by [cov_slots]. A round
    lights a few hundred slots out of 128k, so sparse keeps per-input
-   results small enough to ship through the pool and the corpus store. *)
+   results small enough to ship through the pool and the corpus store.
+   The touched list holds each lit slot exactly once, so sorting it gives
+   the ascending order a full scan would. *)
 let cov_classified t =
   match t.cov with
   | None -> [||]
   | Some c ->
-    let acc = ref [] in
-    for i = cov_slots - 1 downto 0 do
-      let v = Char.code (Bytes.unsafe_get c.cv_edges i) in
-      if v > 0 then acc := (cov_slots + i, classify v) :: !acc
-    done;
-    for i = cov_slots - 1 downto 0 do
-      let v = Char.code (Bytes.unsafe_get c.cv_blocks i) in
-      if v > 0 then acc := (i, classify v) :: !acc
-    done;
-    Array.of_list !acc
+    let slots = Array.sub c.cv_touched 0 c.cv_ntouched in
+    Array.sort Int.compare slots;
+    Array.map
+      (fun s ->
+        let v =
+          if s < cov_slots then Bytes.unsafe_get c.cv_blocks s
+          else Bytes.unsafe_get c.cv_edges (s - cov_slots)
+        in
+        (s, classify (Char.code v)))
+      slots
 
 type cov_counts = { cc_blocks_lit : int; cc_edges_lit : int; cc_block_hits : int; cc_edge_hits : int }
 
@@ -244,16 +275,13 @@ let cov_counts t =
   match t.cov with
   | None -> { cc_blocks_lit = 0; cc_edges_lit = 0; cc_block_hits = 0; cc_edge_hits = 0 }
   | Some c ->
-    let lit map =
-      let n = ref 0 in
-      for i = 0 to cov_slots - 1 do
-        if Bytes.unsafe_get map i <> '\000' then incr n
-      done;
-      !n
-    in
+    let blocks = ref 0 in
+    for i = 0 to c.cv_ntouched - 1 do
+      if Array.unsafe_get c.cv_touched i < cov_slots then incr blocks
+    done;
     {
-      cc_blocks_lit = lit c.cv_blocks;
-      cc_edges_lit = lit c.cv_edges;
+      cc_blocks_lit = !blocks;
+      cc_edges_lit = c.cv_ntouched - !blocks;
       cc_block_hits = c.cv_block_hits;
       cc_edge_hits = c.cv_edge_hits;
     }

@@ -140,7 +140,9 @@ val cov_reset : t -> unit
 (** Zero both maps, the edge-hash history and the hit totals — called at
     the top of every fuzz input so the per-input bitmap is a pure function
     of that input. Independent of {!reset}: dropping cached blocks does
-    not lose coverage, and vice versa. *)
+    not lose coverage, and vice versa. Costs the number of slots lit
+    since the last reset, not the map size; so do {!cov_classified} and
+    {!cov_counts}. *)
 
 val cov_note : t -> Word32.t -> unit
 (** Record one block dispatch at [pc]: bump the block slot

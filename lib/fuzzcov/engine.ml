@@ -304,15 +304,37 @@ let encode_pairs = function
   | ps ->
     String.concat "," (List.map (fun (s, c) -> Printf.sprintf "%d:%d" s c) ps)
 
-let decode_pairs s =
+(* A decoded pair list must keep the contract of [Icache.cov_classified]:
+   every slot in [0, 2 * cov_slots) and every class one of 1, 2, 4, ...,
+   256. An entry's bitmap ([~ascending:true]) is one export, so its slots
+   are also strictly ascending. A generation's delta is the concatenation
+   of its execs' deltas, each ascending on its own, so the order across
+   the whole list is not checked there. A list that breaks the contract
+   is refused and its generation re-executed, never merged. *)
+let valid_pairs ~ascending pairs =
+  let rec ok prev = function
+    | [] -> true
+    | (slot, cls) :: rest ->
+      slot >= 0
+      && slot < 2 * Fluxarm.Icache.cov_slots
+      && ((not ascending) || slot > prev)
+      && cls >= 1 && cls <= 256
+      && cls land (cls - 1) = 0
+      && ok slot rest
+  in
+  ok (-1) pairs
+
+let decode_pairs ~ascending s =
   if s = "-" then Some []
   else
-    try
-      Some
-        (List.map
-           (fun tok -> Scanf.sscanf tok "%d:%d" (fun a b -> (a, b)))
-           (String.split_on_char ',' s))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+    match
+      List.map
+        (fun tok -> Scanf.sscanf tok "%d:%d%!" (fun a b -> (a, b)))
+        (String.split_on_char ',' s)
+    with
+    | pairs when valid_pairs ~ascending pairs -> Some pairs
+    | _ -> None
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
 let encode_gen gs =
   let b = Buffer.create 1024 in
@@ -360,14 +382,15 @@ let decode_gen data =
           | 'G' -> gs
           | 'N' ->
             let pairs =
-              match decode_pairs (String.sub line 2 (String.length line - 2)) with
+              let body = String.sub line 2 (String.length line - 2) in
+              match decode_pairs ~ascending:false body with
               | Some p -> p
               | None -> raise Exit
             in
             { gs with gs_new_bits = pairs }
           | 'A' ->
             Scanf.sscanf line "A %d %d %d %d %s %s" (fun id gen nw hits inp cov ->
-                match (Input.decode inp, decode_pairs cov) with
+                match (Input.decode inp, decode_pairs ~ascending:true cov) with
                 | Some input, Some cov ->
                   {
                     gs with

@@ -39,7 +39,7 @@ let toggle t n =
 
 let read t n =
   check t n;
-  Cycles.tick ~n:Cycles.mpu_reg_write Cycles.global;
+  Cycles.charge Cycles.global Cycles.mpu_reg_write;
   let p = t.pins.(n) in
   match p.dir with Input -> p.in_level | Output -> p.out_level
 

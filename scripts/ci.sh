@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest --force
 
+# Benchmark self-check: perfbench calls the Icache coverage API and the
+# Instance internals directly, so a lib/ change that breaks it must fail
+# here. Every workload runs at tiny sizes, untraced and traced, and its
+# reports are checked against perfbench/reference.txt.
+python3 perfbench/run.py --selfcheck
+
 # Bus smoke: a short run (BUS_ITERS keeps CI fast) that still exercises
 # unchecked/cached/uncached on all three architectures and writes
 # BENCH_bus.json; fail if the cache is cold or the speedup is gone.

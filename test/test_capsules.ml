@@ -64,6 +64,59 @@ let test_virtual_alarm_cancel () =
   k.Instance.run ~max_ticks:100;
   Alcotest.(check string) "cancel works" "cancelled=true" (output k pid)
 
+(* The alarm capsule driven directly, through stand-in process handles
+   that log every upcall as (pid, argument). *)
+let alarm_rig () =
+  let cap, st = Capsules.Virtual_alarm.capsule () in
+  let fired = ref [] in
+  let handle pid =
+    {
+      Capsule_intf.ph_pid = pid;
+      ph_name = Printf.sprintf "p%d" pid;
+      ph_memory_start = (fun () -> 0);
+      ph_allowed_ro = (fun () -> None);
+      ph_allowed_rw = (fun () -> None);
+      ph_read_byte = (fun _ -> Error Kerror.Not_supported);
+      ph_write_byte = (fun _ _ -> Error Kerror.Not_supported);
+      ph_grant = (fun ~size:_ ~align:_ -> Error Kerror.Not_supported);
+      ph_schedule_upcall = (fun ~upcall_id:_ ~arg -> fired := !fired @ [ (pid, arg) ]);
+      ph_subscribed = (fun () -> Some 0);
+    }
+  in
+  let set pid dt = cap.Capsule_intf.cap_command (handle pid) ~cmd:1 ~arg1:dt ~arg2:0 in
+  let tick now = cap.Capsule_intf.cap_tick ~now in
+  (set, tick, fired, st)
+
+let pairs = Alcotest.(list (pair int int))
+
+let test_alarm_same_deadline_in_set_order () =
+  let set, tick, fired, st = alarm_rig () in
+  let d3 = set 3 5 in
+  let d1 = set 1 5 in
+  let d2 = set 2 5 in
+  check_bool "one deadline" true (d1 = d3 && d2 = d3);
+  tick 4;
+  Alcotest.check pairs "nothing due before the deadline" [] !fired;
+  tick 5;
+  Alcotest.check pairs "equal deadlines fire in the order they were set"
+    [ (3, d3); (1, d1); (2, d2) ] !fired;
+  check_int "queue drained" 0 (Capsules.Virtual_alarm.outstanding st)
+
+let test_alarm_due_at_now_fires () =
+  let set, tick, fired, st = alarm_rig () in
+  let late = set 1 9 in
+  tick 2;
+  let early = set 2 1 in
+  check_int "deadline is now + dt" 3 early;
+  tick 2;
+  Alcotest.check pairs "not yet due" [] !fired;
+  tick 3;
+  Alcotest.check pairs "an alarm due exactly now fires on that tick" [ (2, early) ] !fired;
+  check_int "the later alarm stays queued" 1 (Capsules.Virtual_alarm.outstanding st);
+  tick late;
+  Alcotest.check pairs "then the later one" [ (2, early); (1, late) ] !fired;
+  check_int "both counted" 2 (Capsules.Virtual_alarm.fired st)
+
 let test_console_write_reaches_uart () =
   let k, devices = board () in
   let msg = "hello uart" in
@@ -320,6 +373,9 @@ let suite =
     Alcotest.test_case "virtual alarm: single" `Quick test_virtual_alarm_single;
     Alcotest.test_case "virtual alarm: multiplexing" `Quick test_virtual_alarm_multiplexes;
     Alcotest.test_case "virtual alarm: cancel" `Quick test_virtual_alarm_cancel;
+    Alcotest.test_case "virtual alarm: equal deadlines in set order" `Quick
+      test_alarm_same_deadline_in_set_order;
+    Alcotest.test_case "virtual alarm: due at now fires" `Quick test_alarm_due_at_now_fires;
     Alcotest.test_case "console write -> uart" `Quick test_console_write_reaches_uart;
     Alcotest.test_case "console write bounded by allow" `Quick
       test_console_write_bounded_by_allow;

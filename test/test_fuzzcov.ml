@@ -161,6 +161,82 @@ let test_store_spec_mismatch () =
         | _ -> false
         | exception Fleet.Store.Refused _ -> true))
 
+(* A store record whose coverage pairs break the export contract must be
+   refused and its generation re-executed: the resumed report is then
+   byte-identical to an uninterrupted run. Each damage below rewrites the
+   pair list (the last field) of the first [prefix] line in one record,
+   keeping the record's frame checksum valid so only the decoder can
+   notice. *)
+let damage_pairs ~prefix f data =
+  let hit = ref false in
+  let lines =
+    List.map
+      (fun l ->
+        if !hit || not (String.starts_with ~prefix l) then l
+        else
+          let i = String.rindex l ' ' in
+          match f (String.sub l (i + 1) (String.length l - i - 1)) with
+          | None -> l
+          | Some pairs ->
+            hit := true;
+            String.sub l 0 (i + 1) ^ pairs)
+      (String.split_on_char '\n' data)
+  in
+  if !hit then Some (String.concat "\n" lines) else None
+
+let out_of_range pairs =
+  if pairs = "-" then None
+  else Some (Printf.sprintf "%s,%d:1" pairs (2 * Fluxarm.Icache.cov_slots))
+
+let unsorted pairs =
+  match String.split_on_char ',' pairs with
+  | a :: b :: rest -> Some (String.concat "," (b :: a :: rest))
+  | _ -> None
+
+let not_a_class pairs =
+  match String.split_on_char ',' pairs with
+  | first :: rest when first <> "-" ->
+    let slot = List.hd (String.split_on_char ':' first) in
+    Some (String.concat "," ((slot ^ ":3") :: rest))
+  | _ -> None
+
+let test_resume_refuses_damaged_pairs () =
+  let whole = Fuzzcov.Engine.run small_spec in
+  with_tmp_store (fun clean ->
+      let _ = Fuzzcov.Engine.run ~store:clean small_spec in
+      let spec, recs = Fleet.Store.load clean in
+      List.iter
+        (fun (what, prefix, f) ->
+          with_tmp_store (fun path ->
+              let t = Fleet.Store.create ~path ~spec in
+              let damaged = ref None in
+              List.iter
+                (fun (r : Fleet.Store.record) ->
+                  let data =
+                    match (!damaged, damage_pairs ~prefix f r.Fleet.Store.rc_data) with
+                    | None, Some d ->
+                      damaged := Some r.Fleet.Store.rc_index;
+                      d
+                    | _ -> r.Fleet.Store.rc_data
+                  in
+                  Fleet.Store.append t ~index:r.Fleet.Store.rc_index ~data)
+                recs;
+              Fleet.Store.close t;
+              check_bool (what ^ ": a record was damaged") true (!damaged <> None);
+              let resumed = Fuzzcov.Engine.run ~store:path ~resume:true small_spec in
+              check_int (what ^ ": the damaged generation re-executed") 1
+                resumed.Fuzzcov.Engine.fz_ran_gens;
+              check_int (what ^ ": the others recovered") (small_spec.Fuzzcov.Engine.fc_gens - 1)
+                resumed.Fuzzcov.Engine.fz_resumed_gens;
+              check_string (what ^ ": report byte-identical to the uninterrupted run")
+                whole.Fuzzcov.Engine.fz_report resumed.Fuzzcov.Engine.fz_report))
+        [
+          ("entry slot out of range", "A ", out_of_range);
+          ("entry pairs unsorted", "A ", unsorted);
+          ("delta class not a power of two", "N ", not_a_class);
+          ("delta slot out of range", "N ", out_of_range);
+        ])
+
 (* --- triage: crash classes against the taxonomy --- *)
 
 let test_taxonomy_total () =
@@ -256,6 +332,8 @@ let suite =
     Alcotest.test_case "campaign: jobs determinism" `Quick test_campaign_jobs_determinism;
     Alcotest.test_case "campaign: kill/resume" `Quick test_campaign_kill_resume;
     Alcotest.test_case "store: spec mismatch refused" `Quick test_store_spec_mismatch;
+    Alcotest.test_case "store: damaged coverage pairs re-executed" `Quick
+      test_resume_refuses_damaged_pairs;
     Alcotest.test_case "taxonomy is total" `Quick test_taxonomy_total;
     Alcotest.test_case "crash classes are in the taxonomy" `Quick
       test_engine_crash_classes_in_taxonomy;

@@ -406,6 +406,115 @@ let test_lockstep_fuzz () =
     check_int (name "seed %d: same cycles (superblock)") cyc_u cyc_l
   done
 
+(* --- the sparse coverage map against a dense reference ---
+
+   The map keeps a list of the slots it lit and resets, exports and counts
+   through that list. The reference below is the plain dense model of
+   docs/FUZZING.md: two 2^16 arrays of saturating counts, read by a full
+   scan, with the slot and edge formulas written out independently. *)
+
+module Cov_model = struct
+  let slots = 1 lsl 16
+
+  type t = { blocks : int array; edges : int array; mutable prev : int; mutable notes : int }
+
+  let create () = { blocks = Array.make slots 0; edges = Array.make slots 0; prev = 0; notes = 0 }
+
+  let reset m =
+    Array.fill m.blocks 0 slots 0;
+    Array.fill m.edges 0 slots 0;
+    m.prev <- 0;
+    m.notes <- 0
+
+  (* slot(pc) = top 16 bits of the low 32 of ((pc >> 1) * 0x9E3779B1) *)
+  let slot pc = (((pc lsr 1) * 0x9E3779B1) land 0xFFFF_FFFF) lsr 16
+
+  let bump a i = if a.(i) < 255 then a.(i) <- a.(i) + 1
+
+  let note m pc =
+    let cur = slot pc in
+    bump m.blocks cur;
+    bump m.edges (cur lxor (m.prev lsr 1));
+    m.prev <- cur;
+    m.notes <- m.notes + 1
+
+  (* 1, 2, then twice the highest power of two not above the count *)
+  let cls n =
+    if n <= 2 then n
+    else
+      let rec hp p = if p * 2 > n then p else hp (p * 2) in
+      min 256 (2 * hp 1)
+
+  let classified m =
+    let out = ref [] in
+    for i = (2 * slots) - 1 downto 0 do
+      let n = if i < slots then m.blocks.(i) else m.edges.(i - slots) in
+      if n > 0 then out := (i, cls n) :: !out
+    done;
+    Array.of_list !out
+
+  let lit a = Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 a
+end
+
+let test_sparse_map_matches_dense () =
+  let rng = Random.State.make [| 13 |] in
+  let ic = I.create () in
+  let m = Cov_model.create () in
+  I.set_coverage ic true;
+  (* a pool of flash pcs small enough that slots are hit many times *)
+  let pool = Array.init 48 (fun _ -> 2 * Random.State.int rng 0x20000) in
+  let saw_saturation = ref false and saw_cross = ref false in
+  let compare_now what =
+    let got = I.cov_classified ic and want = Cov_model.classified m in
+    check_bool (what ^ ": classified pairs match the dense scan") true (got = want);
+    let cc = I.cov_counts ic in
+    check_int (what ^ ": blocks lit") (Cov_model.lit m.Cov_model.blocks) cc.I.cc_blocks_lit;
+    check_int (what ^ ": edges lit") (Cov_model.lit m.Cov_model.edges) cc.I.cc_edges_lit;
+    check_int (what ^ ": block hits") m.Cov_model.notes cc.I.cc_block_hits;
+    check_int (what ^ ": edge hits") m.Cov_model.notes cc.I.cc_edge_hits;
+    if Array.exists (fun (_, c) -> c = 256) got then saw_saturation := true;
+    (* the same index lit in both maps: slot s and slot cov_slots + s *)
+    let lit = Hashtbl.create 64 in
+    Array.iter (fun (s, _) -> Hashtbl.replace lit s ()) got;
+    if Array.exists (fun (s, _) -> s < I.cov_slots && Hashtbl.mem lit (I.cov_slots + s)) got
+    then saw_cross := true
+  in
+  for round = 1 to 300 do
+    I.cov_reset ic;
+    Cov_model.reset m;
+    let what = Printf.sprintf "round %d" round in
+    if round mod 50 = 0 then begin
+      (* switched off, notes are dropped; switched back on, the map is fresh *)
+      I.set_coverage ic false;
+      I.cov_note ic pool.(0);
+      check_int (what ^ ": off exports nothing") 0 (Array.length (I.cov_classified ic));
+      I.set_coverage ic true
+    end;
+    let len = Random.State.int rng 600 in
+    for _ = 1 to len do
+      let pc =
+        if Random.State.int rng 8 = 0 then pool.(0) (* a hot slot, pushed past 255 *)
+        else pool.(Random.State.int rng (Array.length pool))
+      in
+      I.cov_note ic pc;
+      Cov_model.note m pc
+    done;
+    compare_now what
+  done;
+  (* one slot far past saturation, then a reset to an empty exec *)
+  I.cov_reset ic;
+  Cov_model.reset m;
+  for _ = 1 to 1000 do
+    I.cov_note ic pool.(1);
+    Cov_model.note m pool.(1)
+  done;
+  compare_now "saturated self-loop";
+  I.cov_reset ic;
+  Cov_model.reset m;
+  compare_now "empty after reset";
+  check_bool "a count saturated" true !saw_saturation;
+  check_bool "a block slot and an edge slot shared an index" true !saw_cross
+
 let suite =
   [
     Alcotest.test_case "stores invalidate cached decodes" `Quick test_store_invalidates;
@@ -424,4 +533,6 @@ let suite =
     Alcotest.test_case "privilege flip (isb) ends traces" `Quick
       test_privilege_flip_ends_trace;
     Alcotest.test_case "app suite lockstep: linked = per-block" `Quick test_suite_lockstep;
+    Alcotest.test_case "sparse coverage map = dense reference" `Quick
+      test_sparse_map_matches_dense;
   ]

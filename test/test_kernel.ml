@@ -244,6 +244,73 @@ let test_many_processes () =
     pids;
   check_int "ticks advanced" (k.Instance.ticks ()) (k.Instance.ticks ())
 
+(* --- the idle tick and the upcall queue, through the kernel directly --- *)
+
+module K = Boards.Ticktock_arm
+
+let create_proc k ~name script =
+  match K.create_process k ~name ~payload:name ~program:(to_program script) ~min_ram:2048 () with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "create_process: %a" Kerror.pp e
+
+let test_pending_upcalls_rotate_until_yield () =
+  (* three upcalls queued on a process that computes for several ticks
+     before it yields. Nothing is delivered to a process that has not
+     yielded: each tick moves the queue's head to the back, and a yield
+     takes whatever is at the head then. A yield that finds an upcall
+     returns at once, so the process never sits in [Yielded] here. *)
+  let _, k = Boards.make_ticktock_arm () in
+  let p =
+    create_proc k ~name:"rot"
+      (let* () = repeat 300 (fun () -> let* _ = compute 50 in return ()) in
+       let* a = yield in
+       let* b = yield in
+       let* c = yield in
+       let* () = printf "%d,%d,%d" a b c in
+       return 0)
+  in
+  List.iter (fun arg -> Queue.push (0, arg) p.Process.pending_upcalls) [ 1; 2; 3 ];
+  let queued () = List.of_seq (Seq.map snd (Queue.to_seq p.Process.pending_upcalls)) in
+  let model = ref [ 1; 2; 3 ] and delivered = ref [] and busy_ticks = ref 0 in
+  while !model <> [] && !busy_ticks < 200 do
+    check_bool "not parked while upcalls are queued" false (p.Process.state = Process.Yielded);
+    K.run k ~max_ticks:1;
+    (match !model with x :: rest -> model := rest @ [ x ] | [] -> ());
+    let taken = List.length !model - Queue.length p.Process.pending_upcalls in
+    if taken = 0 then incr busy_ticks;
+    List.iteri (fun i x -> if i < taken then delivered := !delivered @ [ x ]) !model;
+    model := List.filteri (fun i _ -> i >= taken) !model;
+    Alcotest.(check (list int)) "queue in rotation order" !model (queued ())
+  done;
+  check_bool "the process ran several ticks before it yielded" true (!busy_ticks >= 3);
+  K.run k ~max_ticks:100;
+  Alcotest.(check string) "yields took the heads in rotation order"
+    (String.concat "," (List.map string_of_int !delivered))
+    (Option.value ~default:"" ((K.instance k).Instance.proc_output p.Process.pid))
+
+let test_idle_tick_allocation () =
+  (* the common state of a Tock board: every process waits on an alarm
+     and nothing else happens. An idle tick must not allocate per process
+     or per capsule — what is left is Stdlib's Hashtbl.iter/fold. *)
+  let caps, _ = Capsules.Board_set.standard () in
+  let _, k = Boards.make_ticktock_arm ~capsules:caps () in
+  let p =
+    create_proc k ~name:"sleeper"
+      (let* _ = command ~driver:0 ~cmd:1 ~arg1:1_000_000 () in
+       let* _ = yield in
+       return 0)
+  in
+  K.run k ~max_ticks:10;
+  check_bool "the process is waiting on its alarm" true (p.Process.state = Process.Yielded);
+  let ticks = 10_000 in
+  let t0 = K.ticks k in
+  let before = Gc.minor_words () in
+  K.run k ~max_ticks:ticks;
+  let words = Gc.minor_words () -. before in
+  check_int "every tick ran" (t0 + ticks) (K.ticks k);
+  let per_tick = words /. float_of_int ticks in
+  if per_tick > 8.0 then Alcotest.failf "idle tick allocates %.1f minor words (limit 8)" per_tick
+
 let suite =
   [
     Alcotest.test_case "hello world" `Quick test_hello;
@@ -263,4 +330,7 @@ let suite =
     Alcotest.test_case "memory stats" `Quick test_mem_stats;
     Alcotest.test_case "kernel console logs faults" `Quick test_console_logs_faults;
     Alcotest.test_case "many processes" `Quick test_many_processes;
+    Alcotest.test_case "pending upcalls rotate until yield" `Quick
+      test_pending_upcalls_rotate_until_yield;
+    Alcotest.test_case "idle tick allocation" `Quick test_idle_tick_allocation;
   ]
