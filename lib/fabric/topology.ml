@@ -172,13 +172,14 @@ let cut (t : t) id ~outage =
 
 (* The reboot path: pristine image + surviving flash + fsck + boot load.
    This is the same sequence a real board walks after power returns, and
-   the only way OTA activations take effect. *)
+   the only way OTA activations take effect. The surviving flash pages are
+   carried across the restore by reference, shared copy-on-write, so a
+   reboot costs the pages later written, not the whole app flash. *)
 let reboot (t : t) (n : node) ~reseed =
   let mem = n.nd_target.Snapshot.tg_mem in
-  let flash_base = Range.start Layout.app_flash in
-  let flash = Memory.read_bytes mem flash_base (Range.size Layout.app_flash) in
+  let flash = Memory.keep mem Layout.app_flash in
   Snapshot.restore n.nd_target n.nd_pristine;
-  Memory.blit_string mem flash_base flash;
+  Memory.graft mem flash;
   n.nd_last_fsck <- n.nd_spec.ns_fsck mem;
   let loaded =
     n.nd_k.Instance.boot_load ~registry:n.nd_spec.ns_registry ~require_credentials:true

@@ -31,15 +31,16 @@ let int64 h v =
 
 let bool h v = byte h (if v then 1 else 0)
 
+(* The hot loop of every page and frame hash. The accumulator is a local
+   ref that no closure captures, so the native compiler keeps it unboxed:
+   hashing a 4 KiB page allocates only the result, not an Int64 per byte. *)
 let string h s =
   let h = ref (int h (String.length s)) in
-  String.iter (fun c -> h := byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) prime
+  done;
   !h
 
-let bytes h b =
-  let h = ref (int h (Bytes.length b)) in
-  Bytes.iter (fun c -> h := byte !h (Char.code c)) b;
-  !h
-
+let bytes h b = string h (Bytes.unsafe_to_string b)
 let ints h l = List.fold_left int (int h (List.length l)) l
 let to_hex h = Printf.sprintf "%016Lx" h

@@ -495,6 +495,50 @@ let restore t s =
   | None -> ()
   | Some emit -> emit (Obs.Event.Buscache_flush { reason = "restore" })
 
+(* --- carrying a page range across a restore ---
+
+   A page is shared when it has no owner entry of the current era. [keep]
+   drops the kept pages' owner entries, so a write before [graft] clones
+   instead of changing the kept bytes; [graft] inserts them without one,
+   so the first write after it clones too, and a snapshot captured before
+   [keep] (which holds the same Bytes) stays frozen. *)
+
+type kept = { kp_lo : int; kp_hi : int; kp_pages : (int * Bytes.t) list }
+
+let keep t r =
+  let lo = Range.start r and hi = Range.end_ r in
+  if lo land (page_size - 1) <> 0 || hi land (page_size - 1) <> 0 then
+    invalid_arg "Memory.keep: range not page-aligned";
+  let kp_lo = lo lsr page_bits and kp_hi = hi lsr page_bits in
+  let pages = ref [] in
+  for key = kp_hi - 1 downto kp_lo do
+    match Hashtbl.find_opt t.pages key with
+    | Some p ->
+      Hashtbl.remove t.owner key;
+      pages := (key, p) :: !pages
+    | None -> ()
+  done;
+  t.last_wpriv <- -1;
+  { kp_lo; kp_hi; kp_pages = !pages }
+
+let graft t k =
+  (* the code-page invalidation a [blit_string] over the range would do:
+     a write check at each page, of which at most the first registered
+     one bumps (the bump drops every registration) *)
+  let key = ref k.kp_lo in
+  while !key < k.kp_hi && Hashtbl.length t.code_pages > 0 do
+    code_write_check t (!key lsl page_bits);
+    incr key
+  done;
+  for key = k.kp_lo to k.kp_hi - 1 do
+    Hashtbl.remove t.pages key;
+    Hashtbl.remove t.owner key
+  done;
+  List.iter (fun (key, p) -> Hashtbl.replace t.pages key p) k.kp_pages;
+  t.last_key <- -1;
+  t.last_page <- no_page;
+  t.last_wpriv <- -1
+
 let zero_page = Bytes.make page_size '\000'
 
 (* --- snapshot (de)serialization, for the on-disk board-snapshot format.
@@ -524,8 +568,9 @@ let fingerprint t =
      hash like no page at all: skip all-zero pages. *)
   let keys =
     Hashtbl.fold (fun k p acc -> if Bytes.equal p zero_page then acc else k :: acc) t.pages []
+    |> List.sort Int.compare
   in
   List.fold_left
     (fun h k -> Fp.bytes (Fp.int h k) (Hashtbl.find t.pages k))
-    (Fp.int Fp.seed (List.length (List.sort compare keys)))
-    (List.sort compare keys)
+    (Fp.int Fp.seed (List.length keys))
+    keys

@@ -190,6 +190,34 @@ type snapshot
 val capture : t -> snapshot
 val restore : t -> snapshot -> unit
 
+(** {2 Carrying a page range across a restore}
+
+    A power cycle keeps flash and loses everything else. {!keep} takes the
+    materialised pages of a page-aligned range by pointer (O(pages in the
+    range), no byte copy); {!graft}, called after a {!restore}, puts them
+    back in place of whatever the restored image held there, so
+    [keep; restore; graft] leaves exactly the bytes that
+    [read_bytes; restore; blit_string] over the range would leave. Kept
+    pages stay {e shared} under the copy-on-write contract above: the next
+    write to one clones it, so neither a snapshot captured before the keep
+    nor the restored image can be changed through the live table. *)
+
+type kept
+
+val keep : t -> Range.t -> kept
+(** The range's materialised pages, by reference. Marks them shared in the
+    live table, so writes before the {!graft} clone rather than changing
+    the kept bytes. Raises [Invalid_argument] unless the range starts and
+    ends on a 4 KiB page boundary. *)
+
+val graft : t -> kept -> unit
+(** Drop every page of the kept range from the live table (pages the kept
+    set lacks read as zeros again, as they did when kept), then insert the
+    kept pages as shared. Applies the code-page invalidation a
+    {!blit_string} over the range would: if any page of the range is
+    registered as code, the code generation and the model-visible
+    invalidation sequence are bumped once. *)
+
 val snapshot_pages : snapshot -> (int * string) list
 (** The snapshot's materialised pages as [(page key, page bytes)] pairs in
     key order, all-zero pages elided — the portable form used by the

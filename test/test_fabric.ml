@@ -227,6 +227,66 @@ let test_powerloss_target_cuts_roll_back_and_recover () =
     [ 1; 4; 7; 10 ];
   Alcotest.(check bool) "at least one cut tore the transfer" true (!rolled > 0)
 
+(* --- the reboot path: surviving flash is carried, copy-on-write --- *)
+
+let test_reboot_flash_copy_on_write () =
+  let topo, _ = Fabric.Deploy.create ~seed:7 () in
+  let n = topo.Fabric.Topology.nodes.(Fabric.Deploy.target) in
+  let mem = n.Fabric.Topology.nd_target.Ticktock.Snapshot.tg_mem in
+  let base = Range.start Layout.app_flash in
+  let flash () = Memory.read_bytes mem base (Range.size Layout.app_flash) in
+  let pristine_flash () =
+    let here = Fabric.Topology.capture topo in
+    Ticktock.Snapshot.restore n.Fabric.Topology.nd_target n.Fabric.Topology.nd_pristine;
+    let f = flash () in
+    Fabric.Topology.restore topo here;
+    f
+  in
+  let pristine = pristine_flash () in
+  Fabric.Topology.run topo ~ticks:12 ~reseed_of;
+  let before = Fabric.Topology.capture topo in
+  let pre = flash () in
+  Fabric.Topology.cut topo Fabric.Deploy.target ~outage:1;
+  Fabric.Topology.run topo ~ticks:2 ~reseed_of;
+  Alcotest.(check int) "target rebooted" 1 n.Fabric.Topology.nd_reboots;
+  (* scribble over the first (loaded-app) page of the surviving flash *)
+  Memory.blit_string mem base (String.make 64 '\xA5');
+  Fabric.Topology.restore topo before;
+  Alcotest.(check bool) "capture before the reboot keeps its flash" true (flash () = pre);
+  Alcotest.(check bool) "pristine image flash unchanged" true (pristine_flash () = pristine)
+
+(* End-state fingerprints of one cell per plan that cuts the OTA target
+   mid-transfer (cut 7: board 1, torn and rolled back) and one that cuts
+   the gateway (cut 6: board 0), recorded from the byte-copy reboot path.
+   Cell fingerprints hash the absolute cycle count, so it starts from zero
+   for the environment build and for each cell. *)
+let pinned_cells =
+  [
+    ("clean", [ (7, "27d2d6e77dd8010d"); (6, "13566e5ed38f6b92") ]);
+    ("lossy", [ (7, "1aafe5f35be8dec7"); (6, "243c68bd2012a520") ]);
+    ("storm", [ (7, "c27add3b2be32ebb"); (6, "dc20dbf955206ddf") ]);
+    ("chaos", [ (7, "6c685baa6da9a556"); (6, "9c78f05cffa85801") ]);
+  ]
+
+let test_powerloss_pinned_fingerprints () =
+  List.iter
+    (fun (plan, cells) ->
+      Cycles.reset Cycles.global;
+      let env =
+        Fabric.Powerloss.make_env ~plan:(Fabric.Powerloss.plan_named plan) ~seed:42 ()
+      in
+      List.iter
+        (fun (cut, want) ->
+          Cycles.reset Cycles.global;
+          let c = Fabric.Powerloss.run_cell env ~sweep_seed:42 ~cut ~outage:2 ~horizon:64 in
+          Alcotest.(check int) "cut board" (cut mod 3) c.Fabric.Powerloss.pc_board;
+          Alcotest.(check string)
+            (Printf.sprintf "%s cut %d fingerprint" plan cut)
+            want
+            (Fp.to_hex c.Fabric.Powerloss.pc_fp))
+        cells)
+    pinned_cells
+
 (* --- the campaign (determinism, store, metrics) --- *)
 
 let small_spec =
@@ -322,6 +382,10 @@ let suite =
       test_powerloss_cell_determinism;
     Alcotest.test_case "powerloss: target cuts roll back and recover" `Quick
       test_powerloss_target_cuts_roll_back_and_recover;
+    Alcotest.test_case "reboot: surviving flash stays copy-on-write" `Quick
+      test_reboot_flash_copy_on_write;
+    Alcotest.test_case "powerloss: pinned cell fingerprints" `Quick
+      test_powerloss_pinned_fingerprints;
     Alcotest.test_case "campaign: report invariant under jobs" `Quick
       test_campaign_jobs_invariance;
     Alcotest.test_case "campaign: kill + resume is byte-identical" `Quick
