@@ -1187,12 +1187,13 @@ let fleet_row ~spec jobs =
       0 r.Fleet.Campaign.fl_cells
   in
   let per n = float_of_int n /. secs in
+  let ran = r.Fleet.Campaign.fl_stats.Fleet.Driver.ds_ran in
   ( jobs,
     secs,
-    per r.Fleet.Campaign.fl_forked (* boards/sec *),
-    per r.Fleet.Campaign.fl_ran (* cells/sec *),
+    per ran (* boards/sec: every cell forks one *),
+    per ran (* cells/sec *),
     per faults,
-    r.Fleet.Campaign.fl_steals,
+    r.Fleet.Campaign.fl_stats.Fleet.Driver.ds_steals,
     r.Fleet.Campaign.fl_report )
 
 let fleet_json ~spec ~host_cores ~rows ~identical =
@@ -1290,11 +1291,12 @@ let fabric_row ~spec jobs =
       0 r.Fabric.Campaign.fb_cells
   in
   let per n = float_of_int n /. secs in
+  let ran = r.Fabric.Campaign.fb_stats.Fleet.Driver.ds_ran in
   ( jobs,
     secs,
     per frames (* frames/sec *),
-    per (r.Fabric.Campaign.fb_ran * 3) (* boards interleaved/sec *),
-    per r.Fabric.Campaign.fb_ran (* cut points/sec *),
+    per (ran * 3) (* boards interleaved/sec *),
+    per ran (* cut points/sec *),
     silent,
     r.Fabric.Campaign.fb_ok,
     r.Fabric.Campaign.fb_report )

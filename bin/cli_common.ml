@@ -79,6 +79,62 @@ let out_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv) instead of stdout.")
 
+(* --- resumable campaigns (fleet, fabric, fuzzcov) --- *)
+
+type campaign = {
+  cp_jobs : int option;
+  cp_store : string option;
+  cp_resume : bool;
+  cp_stop_after : int option;
+}
+
+(** [-j/--store/--resume/--stop-after] for a campaign on
+    {!Fleet.Driver}; [unit] names its slots ("cells", "generations"). *)
+let campaign_term ~unit =
+  let jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
+  in
+  let store =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "store" ] ~docv:"FILE"
+          ~doc:
+            (Printf.sprintf
+               "Persist completed %s to $(docv) (versioned, append-only, resumable)." unit))
+  in
+  let resume =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            (Printf.sprintf "Recover committed %s from $(b,--store) and run only the rest." unit))
+  in
+  let stop_after =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "stop-after" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf
+               "Start no new %s once $(docv) have been committed by this run (deterministic \
+                kill, for resumability testing)."
+               unit))
+  in
+  Term.(
+    const (fun cp_jobs cp_store cp_resume cp_stop_after ->
+        { cp_jobs; cp_store; cp_resume; cp_stop_after })
+    $ jobs $ store $ resume $ stop_after)
+
+(** Run a command body, turning a refused store or a bad argument into a
+    usage error. *)
+let guard f =
+  try f () with Invalid_argument m | Failure m | Fleet.Store.Refused m -> usage_error m
+
 (* --- failure-cell bundle emission --- *)
 
 let bundle_cap = 8
@@ -117,4 +173,14 @@ let write_bundles ~label ~dir (cells : (string * (unit -> Replay.Bundle.t)) list
     let n = List.length cells in
     if n > bundle_cap then
       Printf.eprintf "%s: %d failing cells, bundles capped at %d\n" label n bundle_cap
+  end
+
+(** Deliver a campaign's report: exit 3 if it was interrupted; otherwise
+    write a bundle for each [failing] cell under [--bundles DIR] and
+    {!finish}. *)
+let conclude ~label ~complete ~ok ~out ~bundles ~failing report =
+  if not complete then interrupted ~label
+  else begin
+    Option.iter (fun dir -> write_bundles ~label ~dir (failing ())) bundles;
+    finish ~label ~ok ~out report
   end

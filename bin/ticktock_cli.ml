@@ -400,60 +400,48 @@ let trace_cmd =
     Term.(const run $ board_arg $ out)
 
 let fleet_cmd =
-  let run cells boards jobs store resume stop_after bundles out =
-    try
-      let spec =
-        let d = Fleet.Campaign.default_spec in
-        {
-          d with
-          Fleet.Campaign.sp_cells = cells;
-          sp_boards =
-            (match boards with
-            | None -> d.Fleet.Campaign.sp_boards
-            | Some s -> String.split_on_char ',' s |> List.filter (fun b -> b <> ""));
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Verify.Violation.with_enabled true (fun () ->
-            Fleet.Campaign.run ?jobs ?store ~resume ?stop_after spec)
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      (* Throughput goes to stderr: stdout carries only the deterministic
-         report, so CI can byte-diff it across jobs settings and
-         kill/resume splits. *)
-      Printf.eprintf
-        "fleet: %d cells (%d ran, %d resumed) on %d pristine images, %d steals, %.2fs \
-         (%.0f cells/sec)\n"
-        (Array.length r.Fleet.Campaign.fl_cells)
-        r.Fleet.Campaign.fl_ran r.Fleet.Campaign.fl_resumed r.Fleet.Campaign.fl_booted
-        r.Fleet.Campaign.fl_steals dt
-        (if dt > 0. then float_of_int r.Fleet.Campaign.fl_ran /. dt else 0.);
-      if not r.Fleet.Campaign.fl_complete then Cli_common.interrupted ~label:"fleet"
-      else begin
-        (match bundles with
-        | None -> ()
-        | Some dir ->
-          let failing =
+  let run cells boards (cp : Cli_common.campaign) bundles out =
+    Cli_common.guard (fun () ->
+        let spec =
+          let d = Fleet.Campaign.default_spec in
+          {
+            d with
+            Fleet.Campaign.sp_cells = cells;
+            sp_boards =
+              (match boards with
+              | None -> d.Fleet.Campaign.sp_boards
+              | Some s -> String.split_on_char ',' s |> List.filter (fun b -> b <> ""));
+          }
+        in
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Verify.Violation.with_enabled true (fun () ->
+              Fleet.Campaign.run ?jobs:cp.cp_jobs ?store:cp.cp_store ~resume:cp.cp_resume
+                ?stop_after:cp.cp_stop_after spec)
+        in
+        let dt = Unix.gettimeofday () -. t0 in
+        let st = r.Fleet.Campaign.fl_stats in
+        Printf.eprintf
+          "fleet: %d cells (%d ran, %d resumed) on %d pristine images, %d steals, %.2fs \
+           (%.0f cells/sec)\n"
+          (Array.length r.Fleet.Campaign.fl_cells)
+          st.Fleet.Driver.ds_ran st.Fleet.Driver.ds_resumed r.Fleet.Campaign.fl_booted
+          st.Fleet.Driver.ds_steals dt
+          (if dt > 0. then float_of_int st.Fleet.Driver.ds_ran /. dt else 0.);
+        Cli_common.conclude ~label:"fleet" ~complete:r.Fleet.Campaign.fl_complete
+          ~ok:r.Fleet.Campaign.fl_ok ~out ~bundles
+          ~failing:(fun () ->
             Array.to_list r.Fleet.Campaign.fl_cells
             |> List.filter_map (function
                  | Some (c : Fleet.Campaign.cell)
                    when c.Fleet.Campaign.cl_panic
-                        || not
-                             (c.Fleet.Campaign.cl_witness_ok
-                             && c.Fleet.Campaign.cl_isolation_ok) ->
+                        || not (c.Fleet.Campaign.cl_witness_ok && c.Fleet.Campaign.cl_isolation_ok)
+                   ->
                    Some
                      ( Printf.sprintf "fleet-cell-%d" c.Fleet.Campaign.cl_index,
                        fun () -> Replay.Record.of_fleet_cell spec c )
-                 | _ -> None)
-          in
-          Cli_common.write_bundles ~label:"fleet" ~dir failing);
-        Cli_common.finish ~label:"fleet" ~ok:r.Fleet.Campaign.fl_ok ~out
-          r.Fleet.Campaign.fl_report
-      end
-    with
-    | Invalid_argument m | Failure m -> Cli_common.usage_error m
-    | Fleet.Store.Refused m -> Cli_common.usage_error m
+                 | _ -> None))
+          r.Fleet.Campaign.fl_report)
   in
   let cells =
     Arg.(
@@ -467,94 +455,54 @@ let fleet_cmd =
       & info [ "boards" ] ~docv:"B1,B2"
           ~doc:"Comma-separated verified boards to schedule (default: arm, arm-v8, e310).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
-  in
-  let store =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:"Persist completed cells to $(docv) (versioned, append-only, resumable).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Recover committed cells from $(b,--store) and run only the rest.")
-  in
-  let stop_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stop-after" ] ~docv:"N"
-          ~doc:
-            "Stop dispatching after about $(docv) new cells (deterministic kill, for \
-             resumability testing).")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Fleet-scale campaign: snapshot-fork thousands of board-instances across a \
           work-stealing domain pool")
     Term.(
-      const run $ cells $ boards $ jobs $ store $ resume $ stop_after $ Cli_common.bundles_arg
-      $ Cli_common.out_arg)
+      const run $ cells $ boards $ Cli_common.campaign_term ~unit:"cells"
+      $ Cli_common.bundles_arg $ Cli_common.out_arg)
 
 let fabric_cmd =
-  let run plans cuts horizon jobs store resume stop_after bundles out =
-    try
-      let spec =
-        let d = Fabric.Campaign.default_spec in
-        {
-          d with
-          Fabric.Campaign.fb_cuts = cuts;
-          fb_horizon = horizon;
-          fb_plans =
-            (match plans with
-            | None -> d.Fabric.Campaign.fb_plans
-            | Some s -> String.split_on_char ',' s |> List.filter (fun p -> p <> ""));
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Verify.Violation.with_enabled true (fun () ->
-            Fabric.Campaign.run ?jobs ?store ~resume ?stop_after spec)
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      (* stdout carries only the deterministic report; throughput and
-         progress go to stderr so CI can byte-diff stdout across jobs
-         settings and kill/resume splits *)
-      Printf.eprintf
-        "fabric: %d cut points (%d ran, %d resumed), %d steals, %.2fs (%.1f cells/sec)\n"
-        (Array.length r.Fabric.Campaign.fb_cells)
-        r.Fabric.Campaign.fb_ran r.Fabric.Campaign.fb_resumed r.Fabric.Campaign.fb_steals dt
-        (if dt > 0. then float_of_int r.Fabric.Campaign.fb_ran /. dt else 0.);
-      if not r.Fabric.Campaign.fb_complete then Cli_common.interrupted ~label:"fabric"
-      else begin
-        (match bundles with
-        | None -> ()
-        | Some dir ->
-          let failing =
+  let run plans cuts horizon (cp : Cli_common.campaign) bundles out =
+    Cli_common.guard (fun () ->
+        let spec =
+          let d = Fabric.Campaign.default_spec in
+          {
+            d with
+            Fabric.Campaign.fb_cuts = cuts;
+            fb_horizon = horizon;
+            fb_plans =
+              (match plans with
+              | None -> d.Fabric.Campaign.fb_plans
+              | Some s -> String.split_on_char ',' s |> List.filter (fun p -> p <> ""));
+          }
+        in
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Verify.Violation.with_enabled true (fun () ->
+              Fabric.Campaign.run ?jobs:cp.cp_jobs ?store:cp.cp_store ~resume:cp.cp_resume
+                ?stop_after:cp.cp_stop_after spec)
+        in
+        let dt = Unix.gettimeofday () -. t0 in
+        let st = r.Fabric.Campaign.fb_stats in
+        Printf.eprintf
+          "fabric: %d cut points (%d ran, %d resumed), %d steals, %.2fs (%.1f cells/sec)\n"
+          (Array.length r.Fabric.Campaign.fb_cells)
+          st.Fleet.Driver.ds_ran st.Fleet.Driver.ds_resumed st.Fleet.Driver.ds_steals dt
+          (if dt > 0. then float_of_int st.Fleet.Driver.ds_ran /. dt else 0.);
+        Cli_common.conclude ~label:"fabric" ~complete:r.Fabric.Campaign.fb_complete
+          ~ok:r.Fabric.Campaign.fb_ok ~out ~bundles
+          ~failing:(fun () ->
             Array.to_list r.Fabric.Campaign.fb_cells
             |> List.filter_map (function
                  | Some (c : Fabric.Campaign.cell) when not c.Fabric.Campaign.fc_ok ->
                    Some
                      ( Printf.sprintf "fabric-cell-%d" c.Fabric.Campaign.fc_index,
                        fun () -> Replay.Record.of_fabric_cell spec c )
-                 | _ -> None)
-          in
-          Cli_common.write_bundles ~label:"fabric" ~dir failing);
-        Cli_common.finish ~label:"fabric" ~ok:r.Fabric.Campaign.fb_ok ~out
-          r.Fabric.Campaign.fb_report
-      end
-    with
-    | Invalid_argument m | Failure m -> Cli_common.usage_error m
-    | Fleet.Store.Refused m -> Cli_common.usage_error m
+                 | _ -> None))
+          r.Fabric.Campaign.fb_report)
   in
   let plans =
     Arg.(
@@ -573,115 +521,78 @@ let fabric_cmd =
       value & opt int 64
       & info [ "horizon" ] ~docv:"T" ~doc:"Global ticks per cell (must exceed the last cut).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
-  in
-  let store =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:"Persist completed cells to $(docv) (versioned, append-only, resumable).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Recover committed cells from $(b,--store) and run only the rest.")
-  in
-  let stop_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stop-after" ] ~docv:"N"
-          ~doc:
-            "Stop dispatching after about $(docv) new cells (deterministic kill, for \
-             resumability testing).")
-  in
   Cmd.v
     (Cmd.info "fabric"
        ~doc:
          "Multi-board fabric campaign: OTA updates and gateway traffic under link faults, \
           with a power cut at every tick, classified for cross-board containment")
     Term.(
-      const run $ plans $ cuts $ horizon $ jobs $ store $ resume $ stop_after
+      const run $ plans $ cuts $ horizon $ Cli_common.campaign_term ~unit:"cells"
       $ Cli_common.bundles_arg $ Cli_common.out_arg)
 
 let fuzzcov_cmd =
-  let run board seed pop gens jobs store resume stop_after bundle bundles replay out =
-    try
-      match replay with
-      | Some path -> (
-        (* replay mode: reproduce a crasher bundle, ignore campaign flags *)
-        match Fuzzcov.Engine.read_bundle path with
-        | None ->
-          Printf.eprintf "fuzzcov: %s is not a crasher bundle\n" path;
-          1
-        | Some b ->
-          let reproduced, observed = Fuzzcov.Engine.replay b in
-          Printf.printf "bundle: board %s  class %s  site %S\n" b.Fuzzcov.Engine.bu_board
-            (Verify.Taxonomy.name b.Fuzzcov.Engine.bu_class)
-            b.Fuzzcov.Engine.bu_site;
-          (match observed with
-          | Some (cls, site) ->
-            Printf.printf "replay: crashed as %s at %S — %s\n" (Verify.Taxonomy.name cls) site
-              (if reproduced then "reproduced" else "DIFFERENT CRASH")
-          | None -> Printf.printf "replay: no crash — NOT reproduced\n");
-          if reproduced then 0 else 2)
-      | None ->
-        let spec =
-          {
-            Fuzzcov.Engine.default_spec with
-            Fuzzcov.Engine.fc_board = board;
-            fc_seed = seed;
-            fc_pop = pop;
-            fc_gens = gens;
-          }
-        in
-        let t0 = Unix.gettimeofday () in
-        let r = Fuzzcov.Engine.run ?jobs ?store ~resume ?stop_after spec in
-        let dt = Unix.gettimeofday () -. t0 in
-        (* Throughput goes to stderr: stdout carries only the deterministic
-           report, so CI can byte-diff it across jobs settings and
-           kill/resume splits. *)
-        Printf.eprintf
-          "fuzzcov: %d execs (%d gens ran, %d resumed), %d corpus, %d buckets, %.2fs (%.0f \
-           execs/sec)\n"
-          r.Fuzzcov.Engine.fz_execs r.Fuzzcov.Engine.fz_ran_gens r.Fuzzcov.Engine.fz_resumed_gens
-          (List.length r.Fuzzcov.Engine.fz_corpus)
-          r.Fuzzcov.Engine.fz_bits dt
-          (if dt > 0. then
-             float_of_int (r.Fuzzcov.Engine.fz_ran_gens * spec.Fuzzcov.Engine.fc_pop) /. dt
-           else 0.);
-        if not r.Fuzzcov.Engine.fz_complete then Cli_common.interrupted ~label:"fuzzcov"
-        else begin
-          (match (bundle, r.Fuzzcov.Engine.fz_crashers) with
-          | Some path, c :: _ ->
-            Fuzzcov.Engine.write_bundle path (Fuzzcov.Engine.bundle_of_crasher ~board c);
-            Printf.eprintf "fuzzcov: wrote first crasher to %s\n" path
-          | Some _, [] -> Printf.eprintf "fuzzcov: no crashers, no bundle written\n"
-          | None, _ -> ());
-          (match bundles with
-          | None -> ()
-          | Some dir ->
-            let crashers =
-              List.mapi
-                (fun i (c : Fuzzcov.Engine.crasher) ->
-                  ( Printf.sprintf "fuzzcov-crasher-%d" i,
-                    fun () -> Replay.Record.of_fuzzcov spec c ))
-                r.Fuzzcov.Engine.fz_crashers
+  let run board seed pop gens (cp : Cli_common.campaign) bundle bundles replay out =
+    Cli_common.guard (fun () ->
+          match replay with
+          | Some path -> (
+            (* replay mode: reproduce a crasher bundle, ignore campaign flags *)
+            match Fuzzcov.Engine.read_bundle path with
+            | None ->
+              Printf.eprintf "fuzzcov: %s is not a crasher bundle\n" path;
+              1
+            | Some b ->
+              let reproduced, observed = Fuzzcov.Engine.replay b in
+              Printf.printf "bundle: board %s  class %s  site %S\n" b.Fuzzcov.Engine.bu_board
+                (Verify.Taxonomy.name b.Fuzzcov.Engine.bu_class)
+                b.Fuzzcov.Engine.bu_site;
+              (match observed with
+              | Some (cls, site) ->
+                Printf.printf "replay: crashed as %s at %S — %s\n" (Verify.Taxonomy.name cls) site
+                  (if reproduced then "reproduced" else "DIFFERENT CRASH")
+              | None -> Printf.printf "replay: no crash — NOT reproduced\n");
+              if reproduced then 0 else 2)
+          | None ->
+            let spec =
+              {
+                Fuzzcov.Engine.default_spec with
+                Fuzzcov.Engine.fc_board = board;
+                fc_seed = seed;
+                fc_pop = pop;
+                fc_gens = gens;
+              }
             in
-            Cli_common.write_bundles ~label:"fuzzcov" ~dir crashers);
-          Cli_common.finish ~label:"fuzzcov" ~ok:r.Fuzzcov.Engine.fz_ok ~out
-            r.Fuzzcov.Engine.fz_report
-        end
-    with
-    | Invalid_argument m | Failure m -> Cli_common.usage_error m
-    | Fleet.Store.Refused m -> Cli_common.usage_error m
+            let t0 = Unix.gettimeofday () in
+            let r =
+              Fuzzcov.Engine.run ?jobs:cp.cp_jobs ?store:cp.cp_store ~resume:cp.cp_resume
+                ?stop_after:cp.cp_stop_after spec
+            in
+            let st = r.Fuzzcov.Engine.fz_stats in
+            let dt = Unix.gettimeofday () -. t0 in
+            Printf.eprintf
+              "fuzzcov: %d execs (%d gens ran, %d resumed), %d corpus, %d buckets, %.2fs (%.0f \
+               execs/sec)\n"
+              r.Fuzzcov.Engine.fz_execs st.Fleet.Driver.ds_ran st.Fleet.Driver.ds_resumed
+              (List.length r.Fuzzcov.Engine.fz_corpus)
+              r.Fuzzcov.Engine.fz_bits dt
+              (if dt > 0. then
+                 float_of_int (st.Fleet.Driver.ds_ran * spec.Fuzzcov.Engine.fc_pop) /. dt
+               else 0.);
+            (match (bundle, r.Fuzzcov.Engine.fz_crashers) with
+            | _ when not r.Fuzzcov.Engine.fz_complete -> ()
+            | Some path, c :: _ ->
+              Fuzzcov.Engine.write_bundle path (Fuzzcov.Engine.bundle_of_crasher ~board c);
+              Printf.eprintf "fuzzcov: wrote first crasher to %s\n" path
+            | Some _, [] -> Printf.eprintf "fuzzcov: no crashers, no bundle written\n"
+            | None, _ -> ());
+            Cli_common.conclude ~label:"fuzzcov" ~complete:r.Fuzzcov.Engine.fz_complete
+              ~ok:r.Fuzzcov.Engine.fz_ok ~out ~bundles
+              ~failing:(fun () ->
+                List.mapi
+                  (fun i (c : Fuzzcov.Engine.crasher) ->
+                    ( Printf.sprintf "fuzzcov-crasher-%d" i,
+                      fun () -> Replay.Record.of_fuzzcov spec c ))
+                  r.Fuzzcov.Engine.fz_crashers)
+              r.Fuzzcov.Engine.fz_report)
   in
   let board =
     Arg.(
@@ -705,35 +616,6 @@ let fuzzcov_cmd =
       value & opt int Fuzzcov.Engine.default_spec.Fuzzcov.Engine.fc_gens
       & info [ "g"; "gens" ] ~docv:"N" ~doc:"Generations to evolve.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: $(b,TICKTOCK_JOBS) or the host core count).")
-  in
-  let store =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
-          ~doc:"Persist completed generations to $(docv) (versioned, append-only, resumable).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Recover committed generations from $(b,--store) and run only the rest.")
-  in
-  let stop_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stop-after" ] ~docv:"N"
-          ~doc:
-            "Stop after $(docv) newly executed generations (deterministic kill, for \
-             resumability testing).")
-  in
   let bundle =
     Arg.(
       value
@@ -754,7 +636,7 @@ let fuzzcov_cmd =
          "Coverage-guided fuzzing: evolve syscall/interrupt schedules against the icache \
           coverage map, triage crashers, emit replayable bundles")
     Term.(
-      const run $ board $ seed $ pop $ gens $ jobs $ store $ resume $ stop_after $ bundle
+      const run $ board $ seed $ pop $ gens $ Cli_common.campaign_term ~unit:"generations" $ bundle
       $ Cli_common.bundles_arg $ replay $ Cli_common.out_arg)
 
 (* --- ticktock replay: record and navigate TICKRPL bundles --- *)

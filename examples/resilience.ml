@@ -7,7 +7,7 @@
    - `stop`   stays quarantined (the default),
    - `phoenix` is restarted with re-zeroed memory and recovers,
    - a `panic` process would halt the whole board (demonstrated last,
-     caught). The kernel trace shows the scheduler's view of all of it. *)
+     caught). The obs recorder shows the scheduler's view of all of it. *)
 
 open Ticktock
 open Apps.App_dsl
@@ -29,10 +29,10 @@ let crashing_script () =
 
 let () =
   let m = Machine.create_arm () in
-  let trace = Trace.create ~capacity:128 () in
+  let obs = Obs.Recorder.create () in
   let k =
     K.create ~mem:m.Machine.arm_mem ~hw:m.Machine.arm_mpu
-      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick ~trace ()
+      ~switcher:(Kernel.Arm_switch m.Machine.arm_cpu) ~systick:m.Machine.arm_systick ~obs ()
   in
   let create name ?fault_policy ?program_factory program =
     Result.get_ok
@@ -60,8 +60,12 @@ let () =
         p.Process.restarts (Process.output p))
     [ stopper; phoenix ];
 
-  print_endline "\n--- kernel trace ---";
-  print_string (Trace.to_string trace);
+  print_endline "\n--- kernel trace (process events) ---";
+  List.iter
+    (fun (e : Obs.Recorder.entry) ->
+      if Obs.Event.pid e.Obs.Recorder.event <> None then
+        Format.printf "%6d  %a@." e.Obs.Recorder.at Obs.Event.pp e.Obs.Recorder.event)
+    (Obs.Recorder.entries obs);
 
   print_endline "--- kernel console (status dumps) ---";
   print_string (K.console_output k);

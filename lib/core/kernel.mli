@@ -48,7 +48,6 @@ module Make (MM : Mm.S) : sig
     ?capsules:Capsule_intf.t list ->
     ?sched:sched ->
     ?syscall_filter:(int -> Userland.call -> bool) ->
-    ?trace:Trace.t ->
     ?systick:Mpu_hw.Systick.t ->
     ?obs:Obs.Recorder.t ->
     ?chaos:Chaos_intf.t ->

@@ -66,13 +66,9 @@ end
 (* --- the shared fork-per-cell runner --- *)
 
 module Runner = struct
-  type t = {
+  type 'k t = {
     rn_exec : Exec.spec;
-    rn_registry : Obj.t Snapshot.Registry.t;
-        (** payloads are type-erased so one runner serves cells of any
-            payload type; [cell] re-erases and un-erases on either side of
-            the registry, which is safe because each key is only ever used
-            with one payload type by construction. *)
+    rn_registry : 'k Snapshot.Registry.t;
     mutable rn_boots : int;  (** boots in [Boot] mode (registry counts its own) *)
   }
 
@@ -92,7 +88,7 @@ module Runner = struct
       fork starts from the file's image. [boot] returns the payload and its
       snapshot target post-boot, pre-load; the target may be [None] only
       under [Boot], which never snapshots. *)
-  let cell (type k a) t ~key ~(boot : unit -> k * Snapshot.target option) (f : k -> a) : a =
+  let cell t ~key ~(boot : unit -> 'k * Snapshot.target option) (f : 'k -> 'a) : 'a =
     let need = function
       | Some tgt -> tgt
       | None ->
@@ -111,18 +107,18 @@ module Runner = struct
       let e =
         Snapshot.Registry.find_or_boot t.rn_registry key ~boot:(fun () ->
             let payload, tgt = boot () in
-            (Obj.repr payload, need tgt))
+            (payload, need tgt))
       in
-      Snapshot.Registry.fork e (fun payload -> f (Obj.obj payload : k))
+      Snapshot.Registry.fork e f
     | Exec.Snapshot_file path ->
       let e =
         Snapshot.Registry.find_or_boot t.rn_registry key ~boot:(fun () ->
             let payload, tgt = boot () in
             let tgt = need tgt in
             Snapshot.load tgt path;
-            (Obj.repr payload, tgt))
+            (payload, tgt))
       in
-      Snapshot.Registry.fork e (fun payload -> f (Obj.obj payload : k))
+      Snapshot.Registry.fork e f
 end
 
 (* --- replayable sessions --- *)

@@ -15,8 +15,6 @@
     over every injected cell: the link's shadow-payload oracle must have
     caught zero CRC-passing corrupted frames anywhere in the lattice. *)
 
-open Ticktock
-
 type spec = {
   fb_plans : string list;  (** {!Powerloss.plans} names, in report order *)
   fb_cuts : int;  (** cut ticks swept per plan: 1..fb_cuts *)
@@ -171,40 +169,18 @@ type result = {
   fb_complete : bool;
   fb_report : string;  (** deterministic; rendered only when complete *)
   fb_ok : bool;
-  fb_ran : int;  (** cells executed by {e this} run *)
-  fb_resumed : int;  (** cells recovered from the store *)
-  fb_steals : int;
+  fb_stats : Fleet.Driver.stats;
 }
 
-(** Run (or resume) the campaign. Same contract as the fleet campaign:
-    [store] + [resume] make it resumable; [stop_after] is the
-    deterministic kill for CI resumability checks; the report is rendered
-    only when every cell is accounted for. *)
+(** Run (or resume) the campaign on the {!Fleet.Driver}, with the fleet
+    campaign's options and contract. *)
 let run ?jobs ?(batch = 4) ?store ?(resume = false) ?stop_after (spec : spec) =
   let key = spec_key spec in
   let coords = cell_coords spec in
-  let total = cell_count spec in
-  let st, recovered =
-    match store with
-    | None -> (None, [])
-    | Some path ->
-      if resume then
-        let t, recs = Fleet.Store.resume ~path ~spec:key in
-        (Some t, recs)
-      else (Some (Fleet.Store.create ~path ~spec:key), [])
+  let d =
+    Fleet.Driver.start ?store ~resume ~key ~slots:(cell_count spec) ~encode:encode_cell
+      ~decode:decode_cell ~index:(fun c -> c.fc_index) ?stop_after ()
   in
-  let cells : cell option array = Array.make total None in
-  List.iter
-    (fun (r : Fleet.Store.record) ->
-      if r.Fleet.Store.rc_index >= 0 && r.Fleet.Store.rc_index < total then
-        match decode_cell r.Fleet.Store.rc_data with
-        | Some c when c.fc_index = r.Fleet.Store.rc_index -> cells.(r.Fleet.Store.rc_index) <- Some c
-        | _ -> ())
-    recovered;
-  let resumed = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 cells in
-  if resumed > 0 then Obs.Metrics.host_incr ~by:resumed "fabric/resume_cells";
-  let ran = Atomic.make 0 in
-  let stop () = match stop_after with Some n -> Atomic.get ran >= n | None -> false in
   (* per-worker state: one deployment environment per plan, built on first
      use on that worker's own domain and forked for every later cell *)
   let init _w : (string, Powerloss.env) Hashtbl.t = Hashtbl.create 4 in
@@ -227,7 +203,6 @@ let run ?jobs ?(batch = 4) ?store ?(resume = false) ?stop_after (spec : spec) =
     in
     Obs.Metrics.host_incr "fabric/cells_run";
     Obs.Metrics.host_incr "fabric/topologies_forked";
-    Atomic.incr ran;
     {
       fc_index = i;
       fc_plan = c.Powerloss.pc_plan;
@@ -244,46 +219,31 @@ let run ?jobs ?(batch = 4) ?store ?(resume = false) ?stop_after (spec : spec) =
       fc_fp = c.Powerloss.pc_fp;
     }
   in
-  let commit i (c : cell) =
-    match st with
-    | None -> ()
-    | Some t -> Fleet.Store.append t ~index:i ~data:(encode_cell c)
-  in
-  let results, pstats =
-    Pool.run ?jobs ~batch ~cells:total
-      ~skip:(fun i -> cells.(i) <> None || stop ())
-      ~commit ~init ~cell ()
-  in
-  Array.iteri (fun i r -> match r with Some c -> cells.(i) <- Some c | None -> ()) results;
-  (match st with Some t -> Fleet.Store.close t | None -> ());
-  if pstats.Pool.ps_steals > 0 then
-    Obs.Metrics.host_incr ~by:pstats.Pool.ps_steals "fabric/steals";
-  let complete = Array.for_all Option.is_some cells in
-  let report =
-    if complete then begin
+  Fleet.Driver.run_pool d ?jobs ~batch ~init ~cell ();
+  let finished = Fleet.Driver.finish d in
+  let stats = Fleet.Driver.stats d in
+  if stats.Fleet.Driver.ds_resumed > 0 then
+    Obs.Metrics.host_incr ~by:stats.Fleet.Driver.ds_resumed "fabric/resume_cells";
+  if stats.Fleet.Driver.ds_steals > 0 then
+    Obs.Metrics.host_incr ~by:stats.Fleet.Driver.ds_steals "fabric/steals";
+  let report, ok =
+    match finished with
+    | None -> ("", false)
+    | Some cells ->
       let golden, gstats = Powerloss.golden ~seed:spec.fb_seed ~horizon:spec.fb_horizon in
-      render spec golden gstats (Array.map (function Some c -> c | None -> assert false) cells)
-    end
-    else ""
-  in
-  let ok =
-    complete
-    && Array.for_all (function Some c -> c.fc_ok && c.fc_silent = 0 | None -> false) cells
-    && String.length report > 0
-    &&
-    (* the verdict line is the single source of truth *)
-    let rec contains i =
-      i + 12 <= String.length report && (String.sub report i 12 = "campaign: ok" || contains (i + 1))
-    in
-    contains 0
+      let report = render spec golden gstats cells in
+      (* the verdict line is the single source of truth *)
+      let rec contains i =
+        i + 12 <= String.length report
+        && (String.sub report i 12 = "campaign: ok" || contains (i + 1))
+      in
+      (report, Array.for_all (fun c -> c.fc_ok && c.fc_silent = 0) cells && contains 0)
   in
   {
     fb_spec = spec;
-    fb_cells = cells;
-    fb_complete = complete;
+    fb_cells = Fleet.Driver.slots d;
+    fb_complete = Option.is_some finished;
     fb_report = report;
     fb_ok = ok;
-    fb_ran = Atomic.get ran;
-    fb_resumed = resumed;
-    fb_steals = pstats.Pool.ps_steals;
+    fb_stats = stats;
   }

@@ -196,51 +196,23 @@ type result = {
   fl_complete : bool;
   fl_report : string;  (** deterministic; rendered only when complete *)
   fl_ok : bool;
-  fl_ran : int;  (** cells executed by {e this} run *)
-  fl_resumed : int;  (** cells recovered from the store *)
   fl_booted : int;  (** pristine images booted (per worker per board) *)
-  fl_forked : int;  (** board-instances forked from pristine images *)
-  fl_steals : int;  (** batches stolen between workers *)
+  fl_stats : Driver.stats;  (** every cell this run ran forked one board-instance *)
 }
 
-(** Run (or resume) a campaign.
-
-    - [jobs] overrides [TICKTOCK_JOBS]; [batch] is the cell-dispatch
-      batch (amortizes pool dispatch over the ~µs fork cost).
-    - [store] makes the run resumable: completed cells append there, and
-      [resume = true] first recovers every committed cell and runs only
-      the rest.
-    - [stop_after n] stops dispatching after roughly [n] new cells — the
-      deterministic kill: the store is left exactly as a SIGKILL mid-run
-      would leave it (minus a torn tail), for resumability tests and CI.
-
-    The report is rendered only when every cell is accounted for, and is
-    byte-identical across jobs settings and kill/resume splits. *)
+(** Run (or resume) a campaign on the {!Driver}: [store], [resume] and
+    [stop_after] (about [n] new cells) are its options. [jobs] overrides
+    [TICKTOCK_JOBS]; [batch] is the cell-dispatch batch (amortizes pool
+    dispatch over the ~µs fork cost). The report is rendered only when
+    every cell is accounted for, and is byte-identical across jobs
+    settings and kill/resume splits. *)
 let run ?jobs ?(batch = 32) ?store ?(resume = false) ?stop_after (spec : spec) =
   let coords = cell_coords spec in
-  let key = spec_key spec in
-  let st, recovered =
-    match store with
-    | None -> (None, [])
-    | Some path ->
-      if resume then
-        let t, recs = Store.resume ~path ~spec:key in
-        (Some t, recs)
-      else (Some (Store.create ~path ~spec:key), [])
+  let d =
+    Driver.start ?store ~resume ~key:(spec_key spec) ~slots:spec.sp_cells ~encode:encode_cell
+      ~decode:decode_cell ~index:(fun c -> c.cl_index) ?stop_after ()
   in
-  let cells : cell option array = Array.make spec.sp_cells None in
-  List.iter
-    (fun (r : Store.record) ->
-      if r.Store.rc_index >= 0 && r.Store.rc_index < spec.sp_cells then
-        match decode_cell r.Store.rc_data with
-        | Some c when c.cl_index = r.Store.rc_index -> cells.(r.Store.rc_index) <- Some c
-        | _ -> ())
-    recovered;
-  let resumed = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 cells in
-  if resumed > 0 then Obs.Metrics.host_incr ~by:resumed "fleet/resume_rounds";
-  let ran = Atomic.make 0 in
   let booted = Atomic.make 0 in
-  let stop () = match stop_after with Some n -> Atomic.get ran >= n | None -> false in
   (* One shared runner per worker, always in forked execution: the fleet's
      whole point is boot-once-per-board, fork-per-cell. *)
   let init _w = Replayable.Runner.create ~exec:Replayable.Exec.Fork () in
@@ -259,7 +231,6 @@ let run ?jobs ?(batch = 32) ?store ?(resume = false) ?stop_after (spec : spec) =
     in
     Obs.Metrics.host_incr "fleet/boards_forked";
     Obs.Metrics.host_incr "fleet/cells_run";
-    Atomic.incr ran;
     {
       cl_index = i;
       cl_board = bname;
@@ -272,38 +243,26 @@ let run ?jobs ?(batch = 32) ?store ?(resume = false) ?stop_after (spec : spec) =
       cl_exited = outcome.Apps.Fuzz.fuzzers_exited;
     }
   in
-  let commit i (c : cell) =
-    match st with None -> () | Some t -> Store.append t ~index:i ~data:(encode_cell c)
-  in
-  let results, pstats =
-    Pool.run ?jobs ~batch ~cells:spec.sp_cells
-      ~skip:(fun i -> cells.(i) <> None || stop ())
-      ~commit ~init ~cell ()
-  in
-  Array.iteri (fun i r -> match r with Some c -> cells.(i) <- Some c | None -> ()) results;
-  (match st with Some t -> Store.close t | None -> ());
-  if pstats.Pool.ps_steals > 0 then
-    Obs.Metrics.host_incr ~by:pstats.Pool.ps_steals "fleet/steals";
-  let complete = Array.for_all Option.is_some cells in
-  let done_cells = Array.map (function Some c -> c | None -> assert false) in
-  let report = if complete then render spec (done_cells cells) else "" in
-  let ok =
-    complete
-    && Array.for_all
-         (function
-           | Some c -> c.cl_witness_ok && c.cl_isolation_ok && not c.cl_panic
-           | None -> false)
-         cells
+  Driver.run_pool d ?jobs ~batch ~init ~cell ();
+  let finished = Driver.finish d in
+  let stats = Driver.stats d in
+  if stats.Driver.ds_resumed > 0 then
+    Obs.Metrics.host_incr ~by:stats.Driver.ds_resumed "fleet/resume_rounds";
+  if stats.Driver.ds_steals > 0 then
+    Obs.Metrics.host_incr ~by:stats.Driver.ds_steals "fleet/steals";
+  let report, ok =
+    match finished with
+    | None -> ("", false)
+    | Some cells ->
+      ( render spec cells,
+        Array.for_all (fun c -> c.cl_witness_ok && c.cl_isolation_ok && not c.cl_panic) cells )
   in
   {
     fl_spec = spec;
-    fl_cells = cells;
-    fl_complete = complete;
+    fl_cells = Driver.slots d;
+    fl_complete = Option.is_some finished;
     fl_report = report;
     fl_ok = ok;
-    fl_ran = Atomic.get ran;
-    fl_resumed = resumed;
     fl_booted = Atomic.get booted;
-    fl_forked = Atomic.get ran;
-    fl_steals = pstats.Pool.ps_steals;
+    fl_stats = stats;
   }

@@ -40,7 +40,6 @@ type record = { rc_index : int; rc_data : string }
 
 type t = {
   st_path : string;
-  st_spec : string;
   mutable st_oc : out_channel option;
   mutable st_records : int;
 }
@@ -147,7 +146,7 @@ let open_fresh path spec =
   output_string oc magic;
   output_char oc (Char.chr version);
   write_frame oc spec;
-  { st_path = path; st_spec = spec; st_oc = Some oc; st_records = 0 }
+  { st_path = path; st_oc = Some oc; st_records = 0 }
 
 (** Create (or overwrite) a store for a campaign with the given spec key. *)
 let create ~path ~spec = open_fresh path spec
@@ -163,16 +162,18 @@ let append t ~index ~data =
 
 (** Reopen a store after a kill (or open a fresh one if [path] does not
     exist): returns the store, positioned for appends, plus every
-    committed record. Refuses a spec-key mismatch — resuming a campaign
-    with different boards/plans/cell count would merge incompatible
-    cells. A short trailing frame (the kill point) is dropped by
-    rewriting the store from its committed records. *)
-let resume ~path ~spec =
+    committed record [keep] accepts. Refuses a spec-key
+    mismatch — resuming a campaign with different boards/plans/cell count
+    would merge incompatible cells. A short trailing frame (the kill
+    point) and every record [keep] rejects are dropped by rewriting the
+    store from the kept records. *)
+let resume ~keep ~path ~spec =
   if not (Sys.file_exists path) then (create ~path ~spec, [])
   else begin
     let file_spec, recs, _ending = scan path in
     if file_spec <> spec then
       refuse "%s: spec mismatch (store %S, campaign %S)" path file_spec spec;
+    let recs = List.filter keep recs in
     (* Drop the torn tail by rewriting: stdlib has no ftruncate, and a
        full rewrite of committed records is cheap next to the campaign. *)
     let t = open_fresh path spec in
@@ -181,7 +182,6 @@ let resume ~path ~spec =
   end
 
 let records t = t.st_records
-let spec t = t.st_spec
 
 let close t =
   match t.st_oc with

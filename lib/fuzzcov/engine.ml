@@ -492,8 +492,7 @@ type result = {
   fz_crashers : crasher list;
   fz_curve : (int * int * int) list;
       (** (cumulative execs, edge slots lit, buckets lit) per generation *)
-  fz_ran_gens : int;  (** generations executed by {e this} run *)
-  fz_resumed_gens : int;  (** generations recovered from the store *)
+  fz_stats : Fleet.Driver.stats;  (** a slot is a generation; no pool steals *)
 }
 
 (* Runners persist across the per-generation pool runs: worker [w] of
@@ -511,35 +510,16 @@ let make_runners () =
       runners.(w) <- Some r;
       r
 
-(** Run (or resume) a campaign.
-
-    - [jobs] overrides [TICKTOCK_JOBS] for every generation's pool.
-    - [store] makes the run resumable: one record per completed
-      generation; [resume = true] first replays every committed
-      generation through the merge fold and executes only the rest.
-    - [stop_after n] stops after [n] {e newly executed} generations —
-      the deterministic kill for resumability tests and CI. *)
+(** Run (or resume) a campaign on the {!Fleet.Driver}, one slot per
+    generation: [stop_after n] stops after exactly [n] newly executed
+    generations. [jobs] overrides [TICKTOCK_JOBS] for every generation's
+    pool. *)
 let run ?jobs ?store ?(resume = false) ?stop_after (spec : spec) =
   if spec.fc_pop <= 0 || spec.fc_gens < 0 then invalid_arg "Fuzzcov: pop/gens out of range";
-  let key = spec_key spec in
-  let st, recovered =
-    match store with
-    | None -> (None, [])
-    | Some path ->
-      if resume then
-        let t, recs = Fleet.Store.resume ~path ~spec:key in
-        (Some t, recs)
-      else (Some (Fleet.Store.create ~path ~spec:key), [])
+  let d =
+    Fleet.Driver.start ?store ~resume ~key:(spec_key spec) ~slots:spec.fc_gens ~encode:encode_gen
+      ~decode:decode_gen ~index:(fun gs -> gs.gs_gen) ?stop_after ()
   in
-  let recovered_gens : gen_summary option array = Array.make (max spec.fc_gens 1) None in
-  List.iter
-    (fun (r : Fleet.Store.record) ->
-      if r.Fleet.Store.rc_index >= 0 && r.Fleet.Store.rc_index < spec.fc_gens then
-        match decode_gen r.Fleet.Store.rc_data with
-        | Some gs when gs.gs_gen = r.Fleet.Store.rc_index ->
-          recovered_gens.(r.Fleet.Store.rc_index) <- Some gs
-        | _ -> ())
-    recovered;
   (* campaign state, advanced by the same fold whether a generation was
      executed or recovered *)
   let virgin : virgin = Hashtbl.create 4096 in
@@ -553,7 +533,6 @@ let run ?jobs ?store ?(resume = false) ?stop_after (spec : spec) =
   let crash_seen : (string * string, unit) Hashtbl.t = Hashtbl.create 16 in
   let all_crashers = ref [] in
   let execs = ref 0 in
-  let gens : gen_summary list ref = ref [] in
   let apply gs =
     List.iter (fun (slot, cls) ->
         let seen = Option.value ~default:0 (Hashtbl.find_opt virgin slot) in
@@ -573,14 +552,10 @@ let run ?jobs ?store ?(resume = false) ?stop_after (spec : spec) =
       let dropped = before - Array.length !corpus in
       if dropped > 0 then Obs.Metrics.host_incr ~by:dropped "fuzzcov/minimized"
     end;
-    execs := gs.gs_execs;
-    gens := !gens @ [ gs ]
+    execs := gs.gs_execs
   in
   let runner_for = make_runners () in
   let contracts = contracts_for spec.fc_board in
-  let ran = ref 0 in
-  let resumed = ref 0 in
-  let stopped = ref false in
   (* one generation: derive candidates from the current state, evaluate
      them on the pool, merge strictly in slot order *)
   let execute_gen g =
@@ -673,54 +648,45 @@ let run ?jobs ?store ?(resume = false) ?stop_after (spec : spec) =
       gs_new_crashers = !new_crashers;
     }
   in
-  Verify.Violation.with_enabled contracts (fun () ->
-      let g = ref 0 in
-      while !g < spec.fc_gens && not !stopped do
-        (match recovered_gens.(!g) with
-        | Some gs ->
-          incr resumed;
-          apply gs
-        | None ->
-          let budget_left =
-            match stop_after with Some n -> !ran < n | None -> true
-          in
-          if not budget_left then stopped := true
-          else begin
-            let gs = execute_gen !g in
-            (* the subtle ordering bug to avoid: [execute_gen] computes
-               novelty against the pre-merge virgin map, so [apply] (which
-               merges) must run after; but the summary above already
-               carries post-merge totals because [merge] mutated [virgin]
-               in place — [apply]'s re-merge of the delta is idempotent. *)
-            (match st with
-            | Some t -> Fleet.Store.append t ~index:!g ~data:(encode_gen gs)
-            | None -> ());
-            incr ran;
-            apply gs
-          end);
-        if not !stopped then incr g
-      done);
-  if !resumed > 0 then Obs.Metrics.host_incr ~by:!resumed "fuzzcov/resume_gens";
-  (match st with Some t -> Fleet.Store.close t | None -> ());
-  let gens_arr = Array.of_list !gens in
-  let complete = Array.length gens_arr = spec.fc_gens in
-  let report = if complete then render spec gens_arr else "" in
+  (* generations run strictly in order: a recovered generation is
+     replayed through [apply], any other is executed and committed, until
+     the budget is spent *)
+  let rec loop g =
+    if g < spec.fc_gens then
+      match Fleet.Driver.slot d g with
+      | Some gs ->
+        apply gs;
+        loop (g + 1)
+      | None when Fleet.Driver.spent d -> ()
+      | None ->
+        let gs = execute_gen g in
+        (* [execute_gen] computes novelty against the pre-merge virgin
+           map, so [apply] must run after it; its re-merge of the delta
+           [merge] already applied in place is idempotent *)
+        Fleet.Driver.commit d g gs;
+        apply gs;
+        loop (g + 1)
+  in
+  Verify.Violation.with_enabled contracts (fun () -> loop 0);
+  let finished = Fleet.Driver.finish d in
+  let stats = Fleet.Driver.stats d in
+  if stats.Fleet.Driver.ds_resumed > 0 then
+    Obs.Metrics.host_incr ~by:stats.Fleet.Driver.ds_resumed "fuzzcov/resume_gens";
+  let gens = Option.value finished ~default:[||] in
   let blocks, edges, bits = lit virgin in
   {
     fz_spec = spec;
-    fz_complete = complete;
-    fz_report = report;
-    fz_ok = complete && Hashtbl.length crash_seen = 0;
+    fz_complete = Option.is_some finished;
+    fz_report = (if Option.is_some finished then render spec gens else "");
+    fz_ok = Option.is_some finished && Hashtbl.length crash_seen = 0;
     fz_execs = !execs;
     fz_edges = edges;
     fz_blocks = blocks;
     fz_bits = bits;
     fz_corpus = Array.to_list !corpus;
     fz_crashers = !all_crashers;
-    fz_curve =
-      Array.to_list gens_arr |> List.map (fun gs -> (gs.gs_execs, gs.gs_edges, gs.gs_bits));
-    fz_ran_gens = !ran;
-    fz_resumed_gens = !resumed;
+    fz_curve = Array.to_list gens |> List.map (fun gs -> (gs.gs_execs, gs.gs_edges, gs.gs_bits));
+    fz_stats = stats;
   }
 
 (* --- replayable crash bundles --- *)

@@ -1,5 +1,5 @@
-(* Bounded ring of timestamped events — the cross-layer analog of the
-   scheduler-only [Core.Trace]. Timestamps are kernel ticks (model time),
+(* Bounded ring of timestamped events from every layer: scheduler, MPU,
+   allocator, bus, contracts and chaos. Timestamps are kernel ticks (model time),
    never host time, so a recording is a pure function of the program run
    and two runs of the same seed export byte-identical traces. *)
 

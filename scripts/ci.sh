@@ -364,4 +364,7 @@ assert sweep and all(row["back_step_us"] > 0 for row in sweep), "empty back-step
 print("replay smoke ok: %d ticks at %.2fx record overhead, reverse execution byte-identical"
       % (data["ticks"], data["record_overhead"]))
 EOF
+# Lines of code (information only, not a gate): ROADMAP tracks the
+# non-blank .ml/.mli count of lib/ + bin/ + bench/ as a metric.
+scripts/loc.sh
 echo "ci ok"

@@ -314,7 +314,7 @@ let test_campaign_kill_resume () =
       let resumed = Fabric.Campaign.run ~jobs:2 ~store:path ~resume:true small_spec in
       Alcotest.(check bool) "resume completes" true resumed.Fabric.Campaign.fb_complete;
       Alcotest.(check bool) "resume skipped stored cells" true
-        (resumed.Fabric.Campaign.fb_resumed >= 5);
+        (resumed.Fabric.Campaign.fb_stats.Fleet.Driver.ds_resumed >= 5);
       Alcotest.(check string) "kill+resume report identical to one-shot"
         whole.Fabric.Campaign.fb_report resumed.Fabric.Campaign.fb_report)
 

@@ -113,7 +113,7 @@ let test_store_truncation () =
       | exception Fleet.Store.Refused _ -> ()
       | _ -> Alcotest.fail "expected load to refuse a torn store");
       (* ...resume recovers everything before it and drops the tail *)
-      let t, recs = Fleet.Store.resume ~path ~spec:"spec-a" in
+      let t, recs = Fleet.Store.resume ~keep:(fun _ -> true) ~path ~spec:"spec-a" in
       check_int "resume keeps the committed record" 1 (List.length recs);
       check_string "and its payload" "alpha" (List.hd recs).Fleet.Store.rc_data;
       (* the rewrite scrubbed the tail: appends from here are clean *)
@@ -138,7 +138,7 @@ let test_store_version_mismatch () =
       (match Fleet.Store.load path with
       | exception Fleet.Store.Refused _ -> ()
       | _ -> Alcotest.fail "expected load to refuse version 99");
-      match Fleet.Store.resume ~path ~spec:"spec-a" with
+      match Fleet.Store.resume ~keep:(fun _ -> true) ~path ~spec:"spec-a" with
       | exception Fleet.Store.Refused _ -> ()
       | _ -> Alcotest.fail "expected resume to refuse version 99")
 
@@ -160,7 +160,7 @@ let test_store_corruption_refused_on_resume () =
       let oc = open_out_bin path in
       output_bytes oc s;
       close_out oc;
-      match Fleet.Store.resume ~path ~spec:"spec-a" with
+      match Fleet.Store.resume ~keep:(fun _ -> true) ~path ~spec:"spec-a" with
       | exception Fleet.Store.Refused _ -> ()
       | _ -> Alcotest.fail "expected resume to refuse a corrupt frame")
 
@@ -168,7 +168,7 @@ let test_store_spec_mismatch () =
   with_temp_store (fun path ->
       let t = Fleet.Store.create ~path ~spec:"spec-a" in
       Fleet.Store.close t;
-      match Fleet.Store.resume ~path ~spec:"spec-b" with
+      match Fleet.Store.resume ~keep:(fun _ -> true) ~path ~spec:"spec-b" with
       | exception Fleet.Store.Refused _ -> ()
       | _ -> Alcotest.fail "expected resume to refuse a different campaign spec")
 
@@ -200,7 +200,7 @@ let test_campaign_jobs_identity () =
   check_bool "report is non-empty" true (String.length r1.Fleet.Campaign.fl_report > 0);
   check_string "report byte-identical: jobs=1 vs jobs=4" r1.Fleet.Campaign.fl_report
     r4.Fleet.Campaign.fl_report;
-  check_int "every cell forked a board" 24 r1.Fleet.Campaign.fl_forked;
+  check_int "every cell forked a board" 24 r1.Fleet.Campaign.fl_stats.Fleet.Driver.ds_ran;
   check_bool "each worker booted each board at most once" true
     (r4.Fleet.Campaign.fl_booted <= 4 * 2)
 
@@ -211,13 +211,14 @@ let test_campaign_kill_resume_identity () =
       let killed = run_campaign ~jobs:2 ~store:path ~resume:true ~stop_after:9 () in
       check_bool "the kill left the campaign incomplete" false
         killed.Fleet.Campaign.fl_complete;
-      check_bool "but committed what it ran" true (killed.Fleet.Campaign.fl_ran >= 9);
+      check_bool "but committed what it ran" true
+        (killed.Fleet.Campaign.fl_stats.Fleet.Driver.ds_ran >= 9);
       let resumed = run_campaign ~jobs:3 ~store:path ~resume:true () in
+      let st = resumed.Fleet.Campaign.fl_stats in
       check_bool "resume completes the campaign" true resumed.Fleet.Campaign.fl_complete;
-      check_bool "resume recovered the killed run's cells" true
-        (resumed.Fleet.Campaign.fl_resumed >= 9);
+      check_bool "resume recovered the killed run's cells" true (st.Fleet.Driver.ds_resumed >= 9);
       check_bool "and only ran the rest" true
-        (resumed.Fleet.Campaign.fl_ran + resumed.Fleet.Campaign.fl_resumed = 24);
+        (st.Fleet.Driver.ds_ran + st.Fleet.Driver.ds_resumed = 24);
       check_string "report byte-identical: kill/resume vs uninterrupted"
         uninterrupted.Fleet.Campaign.fl_report resumed.Fleet.Campaign.fl_report)
 
@@ -229,7 +230,7 @@ let test_campaign_counters () =
   check_int "fleet/boards_forked counts every fork" 24
     (Obs.Metrics.host_read "fleet/boards_forked");
   check_bool "fleet/steals mirrors the pool" true
-    (Obs.Metrics.host_read "fleet/steals" = r.Fleet.Campaign.fl_steals)
+    (Obs.Metrics.host_read "fleet/steals" = r.Fleet.Campaign.fl_stats.Fleet.Driver.ds_steals)
 
 let test_campaign_unknown_board () =
   match

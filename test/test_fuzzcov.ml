@@ -143,12 +143,14 @@ let test_campaign_kill_resume () =
       let whole = Fuzzcov.Engine.run small_spec in
       let killed = Fuzzcov.Engine.run ~store:path ~stop_after:3 small_spec in
       check_bool "killed run is incomplete" false killed.Fuzzcov.Engine.fz_complete;
-      check_int "killed run executed the budget" 3 killed.Fuzzcov.Engine.fz_ran_gens;
+      check_int "killed run executed the budget" 3
+        killed.Fuzzcov.Engine.fz_stats.Fleet.Driver.ds_ran;
       let resumed = Fuzzcov.Engine.run ~store:path ~resume:true small_spec in
       check_bool "resumed run completes" true resumed.Fuzzcov.Engine.fz_complete;
       check_int "resume recovered the committed generations" 3
-        resumed.Fuzzcov.Engine.fz_resumed_gens;
-      check_int "resume executed only the rest" 3 resumed.Fuzzcov.Engine.fz_ran_gens;
+        resumed.Fuzzcov.Engine.fz_stats.Fleet.Driver.ds_resumed;
+      check_int "resume executed only the rest" 3
+        resumed.Fuzzcov.Engine.fz_stats.Fleet.Driver.ds_ran;
       check_string "report byte-identical to the uninterrupted run"
         whole.Fuzzcov.Engine.fz_report resumed.Fuzzcov.Engine.fz_report)
 
@@ -225,9 +227,9 @@ let test_resume_refuses_damaged_pairs () =
               check_bool (what ^ ": a record was damaged") true (!damaged <> None);
               let resumed = Fuzzcov.Engine.run ~store:path ~resume:true small_spec in
               check_int (what ^ ": the damaged generation re-executed") 1
-                resumed.Fuzzcov.Engine.fz_ran_gens;
+                resumed.Fuzzcov.Engine.fz_stats.Fleet.Driver.ds_ran;
               check_int (what ^ ": the others recovered") (small_spec.Fuzzcov.Engine.fc_gens - 1)
-                resumed.Fuzzcov.Engine.fz_resumed_gens;
+                resumed.Fuzzcov.Engine.fz_stats.Fleet.Driver.ds_resumed;
               check_string (what ^ ": report byte-identical to the uninterrupted run")
                 whole.Fuzzcov.Engine.fz_report resumed.Fuzzcov.Engine.fz_report))
         [
